@@ -16,16 +16,20 @@ which decays slower than any exponential.  The deformation requires
 t >= 0: on the ray the evolution factor e^{+i u^2 t} is bounded only
 for forward times, which is how the semigroup arrow enters.
 
+The background is evaluated on its steepest-descent line u = e^{i pi/4} s
+(momentum k = e^{-i pi/4} s), where the oscillation e^{i u^2 t} becomes
+the decay e^{-s^2 t}.  One exp-sinh table on that line is shared by
+all t >= 0, so its size does not depend on the evaluation horizon;
+every background evaluation is verified against the embedded
+step-doubled rule.
+
 Pole coefficients are extracted with midpoint-rule circle integrals at
 a quarter of the distance to the nearest other singularity, and checked
-for radius independence.  The ray uses a frozen tanh-sinh table shared
-by all evaluation times; every background evaluation is verified against
-the embedded step-doubled rule.
+for radius independence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,8 +46,8 @@ from .hardy import HalfPlane, HardyFunction, paley_wiener_check
 from .quadrature import (
     circle_residue,
     complex_quad,
+    exp_sinh_rule,
     oscillatory_quad,
-    tanh_sinh_rule,
 )
 from .surface import SMatrixModel
 
@@ -70,6 +74,19 @@ class PairingResult(NamedTuple):
 class TruncationError(NamedTuple):
     error: float
     relative: bool
+
+    @classmethod
+    def from_parts(cls, trunc, bg):
+        """Weight of the background bg against the full value trunc + bg.
+
+        Falls back to the absolute difference (relative=False) when the
+        full value is numerically zero.
+        """
+        full = trunc + bg
+        diff = abs(full - trunc)
+        if abs(full) < 1e-15 * max(abs(trunc), 1.0):
+            return cls(error=diff, relative=False)
+        return cls(error=diff / abs(full), relative=True)
 
 
 @dataclass(frozen=True)
@@ -180,7 +197,12 @@ def _wave_momentum_images(dag, wave):
 
 @dataclass(frozen=True, eq=False)
 class ResonanceExpansion:
-    """Pole coefficients plus a frozen background-ray table."""
+    """Pole coefficients plus a frozen background table.
+
+    The table holds exp-sinh nodes s_j and weights w_j on the
+    steepest-descent line and the line integrand v_j there, so that
+    bg(t) = sum_j w_j v_j e^{-s_j^2 t} for every t >= 0.
+    """
 
     model: SMatrixModel
     psi: HardyFunction
@@ -189,9 +211,6 @@ class ResonanceExpansion:
     ray_nodes: np.ndarray = field(repr=False)
     ray_weights: np.ndarray = field(repr=False)
     ray_values: np.ndarray = field(repr=False)
-    step: float
-    cutoff: float
-    t_max: float
 
     def __post_init__(self):
         for arr in (self.ray_nodes, self.ray_weights, self.ray_values):
@@ -216,12 +235,7 @@ class ResonanceExpansion:
         """Background integral at time t and its stride-doubling error."""
         if t < 0.0:
             raise ArrowOfTimeError(f"the background evolves forward only, got t = {t}")
-        if t > self.t_max * (1.0 + 1e-12):
-            raise QuadratureError(
-                f"table was built for t <= {self.t_max:g}; rebuild with a larger t_max"
-            )
-        phase = np.exp(1j * self.ray_nodes**2 * t)
-        contrib = self.ray_weights * self.ray_values * phase
+        contrib = self.ray_weights * self.ray_values * np.exp(-self.ray_nodes**2 * t)
         full = complex(np.sum(contrib))
         coarse = 2.0 * complex(np.sum(contrib[::2]))
         return full, abs(full - coarse)
@@ -245,44 +259,47 @@ class ResonanceExpansion:
         Falls back to the absolute difference (relative=False) when the
         full value is numerically zero.
         """
-        full = self.reconstruct(t)
-        trunc = self.pole_sum(t)
-        diff = abs(full - trunc)
-        if abs(full) < 1e-15 * max(abs(trunc), 1.0):
-            return TruncationError(error=diff, relative=False)
-        return TruncationError(error=diff / abs(full), relative=True)
+        return TruncationError.from_parts(self.pole_sum(t), self.background(t))
 
 
-def expand(psi, state, model, t_max=None, ray_tail_tol=1e-10, step=None,
-           node_cap=4_000_000, nodes=256):
+# u = e^{i pi/4} s turns e^{i u^2 t} into e^{-s^2 t}
+_LINE = np.exp(0.25j * np.pi)
+_LINE_STEP = 0.1
+_LINE_HALVINGS = 8
+
+
+def expand(psi, state, model, ray_tail_tol=1e-10, nodes=256):
     """Deform the evolved pairing into pole terms plus a background table.
+
+    The background table is one exp-sinh rule on the steepest-descent
+    line k = e^{-i pi/4} s, shared by all t >= 0; no parameter depends
+    on the evaluation horizon.  Rotating the exit ray k = -i u onto that
+    line sweeps the momentum sector arg k in (-pi/2, -pi/4), which holds
+    no singularity of the integrand: `ResonancePole` requires
+    width < 2 energy, so every resonance pole has arg k > -pi/8;
+    `BackgroundPhase` poles have negative real part; and the momentum
+    images of Hardy-class wave poles lie in the first and third
+    quadrants, which `_wave_momentum_images` verifies.  On the arc at
+    infinity the integrand decays algebraically and e^{i u^2 t} is
+    bounded for t >= 0, so the rotation leaves bg(t) unchanged.
 
     Parameters
     ----------
     psi, state : HardyFunction (UPPER), PreparedState
         Registration-side and preparation-side functions.
     model : SMatrixModel
-    t_max : float, optional
-        Largest evolution time the ray table must support; defaults to
-        ten lifetimes of the narrowest resonance.
     ray_tail_tol : float
-        Absolute bound on the truncated ray tail.
-    step : float, optional
-        Tanh-sinh step override.  The default scales like
-        3 / (cutoff^2 t_max) so the oscillation e^{i u^2 t} stays
-        resolved out to t_max.
-    node_cap : int
-        Hard ceiling on the ray table size.
+        Absolute bound on the stride-doubling estimate of the line
+        integral at t = 0, where the integrand decays slowest.  The
+        exp-sinh step starts at 0.1 and is halved until the bound holds.
     nodes : int
         Circle nodes for residue extraction.
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("expand needs an SMatrixModel")
     dag, wave = _require_pair(psi, state)
-    if t_max is None:
-        t_max = 10.0 / min(p.width for p in model.poles)
-    if not t_max > 0.0:
-        raise ConfigurationError("t_max must be positive")
+    if not ray_tail_tol > 0.0:
+        raise ConfigurationError("ray_tail_tol must be positive")
 
     images = _wave_momentum_images(dag, wave)
     sing = list(model.singularities()) + images
@@ -307,47 +324,35 @@ def expand(psi, state, model, t_max=None, ray_tail_tol=1e-10, step=None,
             )
         coeffs.append(complex(b_inner))
 
-    # ray cutoff: walk outward until the analytic tail bound drops under tol
-    m_ray = 2 * (dag.decay_order + wave.decay_order) - 1
-
-    def ray_g(u):
+    def line_values(s):
+        # e^{i pi/4} g(e^{i pi/4} s): the ray integrand times du/ds
+        u = _LINE * s
         e = -(u * u)
-        return dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
+        return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
 
-    cutoff = 4.0 * max(
-        [math.sqrt(dag.pole_scale), math.sqrt(wave.pole_scale), 1.0]
-        + [abs(s) for s in sing]
-    )
-    for _ in range(60):
-        bound = abs(ray_g(np.array([cutoff]))[0]) * cutoff / (m_ray - 1)
-        if bound < ray_tail_tol:
+    step = _LINE_STEP
+    for _ in range(_LINE_HALVINGS + 1):
+        ray_s, ray_w = exp_sinh_rule(step)
+        ray_vals = line_values(ray_s)
+        contrib = ray_w * ray_vals
+        est = abs(np.sum(contrib) - 2.0 * np.sum(contrib[::2]))
+        if est < ray_tail_tol:
             break
-        cutoff *= 1.5
+        step *= 0.5
     else:
-        raise QuadratureError("ray tail bound did not converge")
-
-    if step is None:
-        step = min(2e-4, 3.0 / (cutoff**2 * t_max))
-    n_nodes = 2 * int(np.ceil(3.6 / step)) + 1
-    if n_nodes > node_cap:
         raise QuadratureError(
-            f"ray table would need {n_nodes} nodes (cap {node_cap}); "
-            "reduce t_max or raise the cap"
+            f"background line did not reach ray_tail_tol={ray_tail_tol:g} "
+            f"(stride check {est:.3e} at step {2.0 * step:g})"
         )
-    ray_u, ray_w = tanh_sinh_rule(0.0, cutoff, step)
-    ray_vals = ray_g(ray_u)
 
     return ResonanceExpansion(
         model=model,
         psi=psi,
         state=state,
         coefficients=tuple(coeffs),
-        ray_nodes=ray_u,
+        ray_nodes=ray_s,
         ray_weights=ray_w,
         ray_values=ray_vals,
-        step=step,
-        cutoff=cutoff,
-        t_max=float(t_max),
     )
 
 

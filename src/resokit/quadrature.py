@@ -82,12 +82,15 @@ def exp_sinh_rule(h, clip=3.7):
     """Exp-sinh nodes and weights for (0, inf), decaying integrands.
 
     The map x = exp(pi/2 sinh t) spreads nodes from 0 to infinity double
-    exponentially.  Same stride-doubling property as `tanh_sinh_rule`.
-    Tables are cached and read-only; copy before mutating.
+    exponentially.  Same stride-doubling property as `tanh_sinh_rule`:
+    the even-index subset is the rule with step 2h.  Tables are cached
+    and read-only; copy before mutating.
     """
     if h <= 0:
         raise QuadratureError("step must be positive")
     m = int(np.ceil(clip / h))
+    if m % 2:
+        m += 1  # even m keeps the [::2] subset exactly on the 2h grid
     t = np.arange(-m, m + 1) * h
     x = np.exp(0.5 * np.pi * np.sinh(t))
     w = 0.5 * np.pi * np.cosh(t) * x * h

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from importlib import resources
 from pathlib import Path
@@ -56,6 +57,8 @@ def _as_float(value, path, positive=False):
         out = float(value)
     except (TypeError, ValueError):
         raise SchemaError(f"expected a number, got {value!r}", path=path) from None
+    if not math.isfinite(out):
+        raise SchemaError(f"expected a finite number, got {out}", path=path)
     if positive and not out > 0.0:
         raise SchemaError(f"expected a positive number, got {out}", path=path)
     return out
@@ -168,16 +171,15 @@ def _run_two_resonance(params, rng):
     g_min = min(p.width for p in model.poles)
     t_end = lifetimes / g_min
     state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
-    exp = xp.expand(dual, state, model, t_max=t_end, ray_tail_tol=tols["ray_tail"])
+    exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
     matrix = xp.effective_matrix(model)
     rows = []
     for t in np.linspace(0.0, t_end, points):
         t = float(t)
         bg = exp.background(t)
         trunc = exp.pole_sum(t)
-        full = trunc + bg
-        err = exp.truncation_error(t)
-        rows.append([t, abs(full), abs(trunc), err.error, abs(bg)])
+        err = xp.TruncationError.from_parts(trunc, bg)
+        rows.append([t, abs(trunc + bg), abs(trunc), err.error, abs(bg)])
     spots = [0.0, 1.0 / g_min, 3.0 / g_min]
     worst = 0.0
     for t in spots:
@@ -209,8 +211,7 @@ def _run_contour_check(params, rng):
     if any(t < 0.0 for t in times):
         raise SchemaError("times must be >= 0", path="parameters.times_lifetimes")
     state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
-    exp = xp.expand(dual, state, model, t_max=max(max(times), 1e-6),
-                    ray_tail_tol=tols["ray_tail"])
+    exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
     rows = []
     worst = 0.0
     for t in times:
@@ -398,6 +399,14 @@ def load_config(source):
     return data
 
 
+def _plain_name(value, path):
+    """A file name with no directory part, so outputs stay in --out-dir."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or Path(value).name != value or "\\" in value or "\0" in value):
+        raise SchemaError(f"expected a plain file name, got {value!r}", path=path)
+    return value
+
+
 def _format_cell(value):
     if isinstance(value, float):
         return repr(value)
@@ -424,15 +433,23 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
     if fmt not in ("csv", "json"):
         raise SchemaError(f"format must be csv or json, got {fmt!r}")
     kind = config.get("kind")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise SchemaError(f"kind must be one of {sorted(_RUNNERS)}, got {kind!r}",
                           path="kind")
-    name = config.get("scenario", kind)
-    params = dict(config.get("parameters", {}))
+    name = _plain_name(config.get("scenario", kind), "scenario")
+    params = config.get("parameters", {})
+    if not isinstance(params, dict):
+        raise SchemaError("parameters must be an object", path="parameters")
+    params = dict(params)
+    output = config.get("output", {})
+    if not isinstance(output, dict):
+        raise SchemaError("output must be an object", path="output")
+    stem = _plain_name(output.get("stem", name), "output.stem")
     if tol_overrides:
-        merged = dict(params.get("tolerances", {}))
-        merged.update(tol_overrides)
-        params["tolerances"] = merged
+        merged = params.get("tolerances", {})
+        if not isinstance(merged, dict):
+            raise SchemaError("tolerances must be an object", path="parameters.tolerances")
+        params["tolerances"] = {**merged, **tol_overrides}
     if seed is None:
         seed = config.get("seed", _DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -450,7 +467,6 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = config.get("output", {}).get("stem", name)
     data_path = out_dir / f"{stem}.{fmt}"
     _write_rows(data_path, columns, rows, fmt)
 
@@ -473,7 +489,7 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
         fh.write("\n")
 
     if bless:
-        golden_dir = config.get("output", {}).get("golden_dir")
+        golden_dir = output.get("golden_dir")
         golden_dir = Path(golden_dir) if golden_dir else out_dir / "golden" / name
         golden_dir.mkdir(parents=True, exist_ok=True)
         (golden_dir / data_path.name).write_bytes(data_path.read_bytes())

@@ -117,7 +117,7 @@ def test_criterion_2_contour_deformation_identity(poles):
     state = PreparedState(PHI)
     g_min = min(p.width for p in poles)
     times = (0.0, 1.0 / g_min, 3.0 / g_min)
-    exp = expand(PSI, state, model, t_max=times[-1] + 1.0)
+    exp = expand(PSI, state, model)
     for t in times:
         direct = smatrix_pairing_direct(PSI, state, model, t).value
         recon = exp.reconstruct(t)
@@ -207,7 +207,7 @@ def test_criterion_7_background_behavior():
     model = SMatrixModel(poles=(POLE, WIDE))
     state = PreparedState(PHI)
     t_end = 75.0
-    exp = expand(PSI, state, model, t_max=t_end)
+    exp = expand(PSI, state, model)
     g_min = min(p.width for p in model.poles)
 
     ts = np.geomspace(0.75, t_end, 30)

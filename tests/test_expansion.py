@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resokit import expansion
 from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
@@ -18,7 +19,7 @@ from resokit.expansion import (
     smatrix_pairing_direct,
     truncated_evolve,
 )
-from resokit.quadrature import tanh_sinh_rule
+from resokit.quadrature import exp_sinh_rule, tanh_sinh_rule
 from resokit.surface import BackgroundPhase, SMatrixModel, blaschke_residue
 
 CHECK_TIMES = (0.0, 5.0, 15.0)
@@ -26,15 +27,15 @@ CHECK_TIMES = (0.0, 5.0, 15.0)
 
 @pytest.fixture(scope="module")
 def exp_one(psi, state, model):
-    return expand(psi, state, model, t_max=16.0)
+    return expand(psi, state, model)
 
 
 @pytest.fixture(scope="module")
 def exp_two(psi, state, model_two):
-    return expand(psi, state, model_two, t_max=16.0)
+    return expand(psi, state, model_two)
 
 
-def _synthetic(model, psi, state, coefficients, nodes, weights, values, t_max=10.0):
+def _synthetic(model, psi, state, coefficients, nodes, weights, values):
     return ResonanceExpansion(
         model=model,
         psi=psi,
@@ -43,9 +44,6 @@ def _synthetic(model, psi, state, coefficients, nodes, weights, values, t_max=10
         ray_nodes=np.asarray(nodes, dtype=float),
         ray_weights=np.asarray(weights, dtype=float),
         ray_values=np.asarray(values, dtype=complex),
-        step=1e-4,
-        cutoff=1.0,
-        t_max=t_max,
     )
 
 
@@ -144,7 +142,7 @@ class TestExpansion:
     def test_deformation_identity_with_background_phase(self, psi, state, pole):
         bg = BackgroundPhase(terms=((0.3, -0.8, 0.6),))
         model = SMatrixModel(poles=(pole,), background=bg)
-        exp = expand(psi, state, model, t_max=6.0)
+        exp = expand(psi, state, model)
         direct = smatrix_pairing_direct(psi, state, model, 5.0)
         assert abs(direct.value - exp.reconstruct(5.0)) / abs(direct.value) < 1e-6
 
@@ -157,9 +155,28 @@ class TestExpansion:
         with pytest.raises(ArrowOfTimeError):
             exp_one.background(-0.1)
 
-    def test_table_time_range_enforced(self, exp_one):
-        with pytest.raises(QuadratureError):
-            exp_one.background(exp_one.t_max * 1.5)
+    def test_one_table_serves_every_time(self, exp_one, psi, state, model):
+        # at times far past the scenario horizons the shared table still
+        # passes the stride gate and agrees with an 8x finer exp-sinh rule
+        s, w = exp_sinh_rule(0.1 / 16)
+        u = np.exp(0.25j * np.pi) * s
+        dag = psi.conjugated()
+        fine = np.exp(0.25j * np.pi) * dag(-u * u) * model.eval(-1j * u)
+        fine = fine * state.wave(-u * u) * (-2.0 * u)
+        for t in (1e2, 1e4, 1e6):
+            ref = np.sum(w * fine * np.exp(-s * s * t))
+            assert abs(exp_one.background(t) - ref) < 1e-13
+
+    def test_long_time_asymptote(self, exp_one, psi, state):
+        # g(u) ~ -2u conj(psi)(0) S(0) phi(0) near u = 0 with S(0) = 1, so
+        # t bg(t) -> -i conj(psi)(0) phi(0) as t grows
+        limit = -1j * psi.conjugated()(0.0) * state.wave(0.0)
+        gaps = [
+            abs(t * exp_one.background(t) - limit) / abs(limit)
+            for t in (1e4, 1e5, 1e6)
+        ]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-3
 
     def test_background_decays(self, exp_one):
         ts, mags = background_profile(exp_one, np.linspace(1.0, 15.0, 8))
@@ -175,13 +192,25 @@ class TestExpansion:
         with pytest.raises(ValueError):
             exp_one.ray_values[0] = 0.0
 
-    def test_node_cap_enforced(self, psi, state, model):
-        with pytest.raises(QuadratureError):
-            expand(psi, state, model, t_max=16.0, node_cap=100)
+    def test_table_is_small(self, exp_one, exp_two):
+        for exp in (exp_one, exp_two):
+            assert exp.ray_nodes.size <= 300
+            assert np.all(exp.ray_nodes > 0.0)
 
-    def test_bad_t_max(self, psi, state, model):
+    def test_no_horizon_parameter(self, psi, state, model):
+        with pytest.raises(TypeError):
+            expand(psi, state, model, t_max=16.0)
+
+    def test_bad_ray_tail_tol(self, psi, state, model):
         with pytest.raises(ConfigurationError):
-            expand(psi, state, model, t_max=0.0)
+            expand(psi, state, model, ray_tail_tol=0.0)
+
+    def test_unresolved_line_raises(self, psi, state, model, monkeypatch):
+        # the step-0.1 table misses 1e-8 at t = 0; with no halvings left
+        # the build must fail instead of returning it
+        monkeypatch.setattr(expansion, "_LINE_HALVINGS", 0)
+        with pytest.raises(QuadratureError):
+            expand(psi, state, model, ray_tail_tol=1e-8)
 
     def test_class_checks(self, psi, phi, state, model):
         with pytest.raises(HardyClassError):

@@ -47,6 +47,19 @@ def test_exp_sinh_gaussian():
     assert np.sum(w * np.exp(-x * x)) == pytest.approx(np.sqrt(np.pi) / 2.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("h", [0.1, 0.3])
+def test_exp_sinh_stride_subset_on_doubled_grid(h):
+    # clip / h rounds up to an odd count at these steps; the even-index
+    # subset must still sit on the 2h grid for the stride check to hold
+    assert int(np.ceil(3.7 / h)) % 2 == 1
+    x, w = exp_sinh_rule(h)
+    half = (x.size - 1) // 4
+    k = np.arange(-half, half + 1)
+    np.testing.assert_array_equal(x[::2], np.exp(0.5 * np.pi * np.sinh(2.0 * h * k)))
+    coarse = 0.5 * np.pi * np.cosh(2.0 * h * k) * x[::2] * (2.0 * h)
+    assert 2.0 * w[::2] == pytest.approx(coarse, rel=1e-15)
+
+
 def test_integrate_exp_sinh_adaptive_lorentzian():
     val, err = integrate_exp_sinh(lambda x: 1.0 / (1.0 + x * x))
     assert val == pytest.approx(np.pi / 2.0, abs=1e-11)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resokit import expansion
 from resokit.cli import main
 from resokit.errors import SchemaError
 from resokit.scenarios import KINDS, list_scenarios, load_config, run_scenario
@@ -128,6 +129,29 @@ class TestSchemaValidation:
             run_scenario(cfg, out_dir=tmp_path)
 
 
+    def test_non_object_tolerances_with_override(self, tmp_path):
+        cfg = load_config("contour_check")
+        cfg["parameters"]["tolerances"] = [1e-10]
+        with pytest.raises(SchemaError):
+            run_scenario(cfg, out_dir=tmp_path, tol_overrides={"ray_tail": 1e-9})
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [("kaon_pair", "lifetimes", math.inf),
+         ("contour_check", "times_lifetimes", [0.0, math.inf])],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, base, key, value):
+        cfg = load_config(base)
+        cfg["parameters"][key] = value
+        with pytest.raises(SchemaError):
+            run_scenario(cfg, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_non_string_kind(self, tmp_path):
+        with pytest.raises(SchemaError):
+            run_scenario({"kind": ["khalfin"]}, out_dir=tmp_path)
+
+
 class TestAchievedQuality:
     def test_single_resonance(self, runs):
         achieved = runs["single_resonance"][0]["achieved"]
@@ -157,6 +181,40 @@ class TestAchievedQuality:
         achieved = runs["histories_demo"][0]["achieved"]
         assert achieved["history_vs_sequential_max_diff"] < 1e-12
         assert achieved["entropy_min_gain"] >= -1e-10
+
+
+class TestLongHorizons:
+    def test_kaon_pair_at_200_lifetimes(self, tmp_path, capsys):
+        # the former real-axis ray table would need 4.95M nodes here
+        cfg = load_config("kaon_pair")
+        cfg["parameters"]["lifetimes"] = 200.0
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "kaon_pair.csv")
+        assert len(rows) == 121
+        assert float(rows[-1][0]) == pytest.approx(1000.0)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        manifest = json.loads((tmp_path / "kaon_pair.manifest.json").read_text())
+        assert manifest["achieved"]["reconstruction_max_rel_err"] < 1e-6
+
+    def test_table_does_not_depend_on_horizon(self, tmp_path, monkeypatch):
+        tables = []
+        original = expansion.expand
+
+        def recording_expand(*args, **kwargs):
+            exp = original(*args, **kwargs)
+            tables.append(exp.ray_nodes)
+            return exp
+
+        monkeypatch.setattr(expansion, "expand", recording_expand)
+        for lifetimes in (1.0, 50.0):
+            cfg = load_config("kaon_pair")
+            cfg["parameters"].update(lifetimes=lifetimes, points=3)
+            run_scenario(cfg, out_dir=tmp_path / str(lifetimes))
+        assert len(tables) == 2
+        assert tables[0].size <= 300
+        np.testing.assert_array_equal(tables[0], tables[1])
 
 
 class TestOutputs:
@@ -300,6 +358,34 @@ class TestCli:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def _run_config(self, tmp_path, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        return main(["run", str(path), "--out-dir", str(out_dir)])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("output", [1]), ("parameters", [1, 2]), ("output", {"stem": "../escaped"}),
+         ("output", {"stem": "sub/escaped"}), ("scenario", "../escaped")],
+        ids=["output_list", "parameters_list", "stem_parent", "stem_subdir",
+             "scenario_parent"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, key, value):
+        cfg = load_config("single_resonance")
+        cfg[key] = value
+        assert self._run_config(tmp_path, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+        assert key in err["error"]["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    def test_plain_stem_is_used(self, tmp_path, capsys):
+        cfg = load_config("single_resonance")
+        cfg["output"] = {"stem": "renamed"}
+        assert self._run_config(tmp_path, cfg) == 0
+        assert (tmp_path / "out" / "renamed.csv").exists()
 
     def test_bless_flag(self, tmp_path, capsys):
         code = main(

@@ -20,6 +20,7 @@ so it is the natural "dagger" partner in pairings.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,11 @@ class HardyFunction:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def __call__(self, z):
+        if isinstance(z, numbers.Number):
+            try:
+                return self._scalar(complex(z))
+            except (OverflowError, ZeroDivisionError):
+                pass  # the array path returns numpy's inf/nan instead
         z_arr = np.asarray(z, dtype=complex)
         for _, p, _ in self.terms:
             if np.any(z_arr == p):
@@ -95,6 +101,17 @@ class HardyFunction:
         for c, p, n in self.terms:
             out = out + c / (z_arr - p) ** n
         return out if out.shape else complex(out)
+
+    def _scalar(self, z):
+        """The array formula above in plain complex arithmetic, for the
+        per-abscissa callbacks of adaptive quadrature."""
+        for _, p, _ in self.terms:
+            if z == p:
+                raise DomainError(f"evaluation at pole {p}")
+        out = 0j
+        for c, p, n in self.terms:
+            out = out + c / (z - p) ** n
+        return out
 
     def conjugated(self):
         """Schwarz reflection: conj coefficients and poles, flipped class.
@@ -177,20 +194,24 @@ class HardyFunction:
         return cls(terms=terms, half_plane=HalfPlane(data["half_plane"]))
 
 
+def _grid_spectrum(wf, e_max, n):
+    """(de, tau, fft of f sampled on n points over [-e_max, e_max))."""
+    if n & (n - 1):
+        raise ConfigurationError("FFT grid size must be a power of two")
+    de = 2.0 * e_max / n
+    energies = -e_max + de * np.arange(n)
+    tau = 2.0 * np.pi * np.fft.fftfreq(n, d=de)
+    return de, tau, np.fft.fft(wf(energies))
+
+
 def fourier_grid(wf, e_max, n):
     """FFT realization of fhat(tau) = integral f(E) e^{-i E tau} dE.
 
     Samples f on n points over [-e_max, e_max) and returns (tau, fhat).
     tau comes from fftfreq and is unsorted; pair it with fhat as is.
     """
-    if n & (n - 1):
-        raise ConfigurationError("FFT grid size must be a power of two")
-    de = 2.0 * e_max / n
-    energies = -e_max + de * np.arange(n)
-    values = wf(energies)
-    tau = 2.0 * np.pi * np.fft.fftfreq(n, d=de)
-    fhat = de * np.exp(1j * e_max * tau) * np.fft.fft(values)
-    return tau, fhat
+    de, tau, spectrum = _grid_spectrum(wf, e_max, n)
+    return tau, de * np.exp(1j * e_max * tau) * spectrum
 
 
 def paley_wiener_check(wf, e_max=200.0, n=2**18, edge_tolerance=1e-4):
@@ -205,7 +226,7 @@ def paley_wiener_check(wf, e_max=200.0, n=2**18, edge_tolerance=1e-4):
     edge_tolerance times its grid maximum, since truncation ringing
     would then contaminate the verdict.
     """
-    tau, fhat = fourier_grid(wf, e_max, n)
+    de, tau, spectrum = _grid_spectrum(wf, e_max, n)
     edge = max(abs(wf(-e_max)), abs(wf(e_max - 2.0 * e_max / n)))
     peak = float(np.max(np.abs(wf(np.linspace(-e_max, e_max, 4097)[:-1]))))
     if peak == 0.0 or edge > edge_tolerance * peak:
@@ -213,7 +234,8 @@ def paley_wiener_check(wf, e_max=200.0, n=2**18, edge_tolerance=1e-4):
             f"grid edge value {edge:.3e} exceeds {edge_tolerance:g} of the "
             f"peak {peak:.3e}; widen e_max"
         )
-    power = np.abs(fhat) ** 2
+    # |fhat|^2: the grid-offset phase of `fourier_grid` has modulus one
+    power = de * de * np.abs(spectrum) ** 2
     total = float(np.sum(power))
     if total == 0.0:
         raise ResolutionError("transform vanished on the grid")

@@ -6,12 +6,14 @@ stores those tables immutably and reuses them for every evolution time,
 checking convergence by comparing against the embedded step-doubled rule
 (the even-index subset of a table with step h is exactly the table with
 step 2h).  The scipy wrappers adapt ``scipy.integrate.quad`` to complex
-integrands, full-line integrals and oscillatory Fourier weights.
+integrands, full-line integrals and oscillatory Fourier weights; their
+separate real/imaginary (and cos/sin) passes share one evaluation of the
+integrand per abscissa.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -122,6 +124,23 @@ def integrate_exp_sinh(f, h0=2e-3, tol=1e-11, max_halvings=8):
     )
 
 
+def _part_quads(f, a, b, weights=(None,), **kwargs):
+    """quad of Re f, then Im f, against each quad weight in turn.
+
+    Returns the (value, error) pairs in the order (Re, w1), (Re, w2), ...,
+    (Im, w1), ...  f is memoised by abscissa for this call only, so every
+    pass after the first reuses the values the earlier passes computed;
+    the results are those of independent passes, bit for bit.
+    """
+    f = cache(f)
+    out = []
+    for part in (np.real, np.imag):
+        for weight in weights:
+            extra = {} if weight is None else {"weight": weight}
+            out.append(quad(lambda x: part(f(x)), a, b, **extra, **kwargs))
+    return out
+
+
 def complex_quad(f, a, b, **kwargs):
     """scipy quad for complex-valued f; returns (value, error bound).
 
@@ -130,8 +149,7 @@ def complex_quad(f, a, b, **kwargs):
     is essential for slowly decaying rational tails.
     """
     kwargs.setdefault("limit", 400)
-    re, re_err = quad(lambda x: np.real(f(x)), a, b, **kwargs)
-    im, im_err = quad(lambda x: np.imag(f(x)), a, b, **kwargs)
+    (re, re_err), (im, im_err) = _part_quads(f, a, b, **kwargs)
     return re + 1j * im, re_err + im_err
 
 
@@ -154,10 +172,8 @@ def oscillatory_quad(f, upper, omega, **kwargs):
         return complex_quad(f, 0.0, upper, **kwargs)
     kwargs.setdefault("limit", 3000)
     kwargs.setdefault("maxp1", 200)
-    rc, e1 = quad(lambda x: np.real(f(x)), 0.0, upper, weight="cos", wvar=omega, **kwargs)
-    rs, e2 = quad(lambda x: np.real(f(x)), 0.0, upper, weight="sin", wvar=omega, **kwargs)
-    ic, e3 = quad(lambda x: np.imag(f(x)), 0.0, upper, weight="cos", wvar=omega, **kwargs)
-    is_, e4 = quad(lambda x: np.imag(f(x)), 0.0, upper, weight="sin", wvar=omega, **kwargs)
+    (rc, e1), (rs, e2), (ic, e3), (is_, e4) = _part_quads(
+        f, 0.0, upper, ("cos", "sin"), wvar=omega, **kwargs)
     # (re + i im)(cos - i sin) collected into real and imaginary parts
     value = (rc + is_) + 1j * (ic - rs)
     return value, e1 + e2 + e3 + e4
@@ -174,10 +190,8 @@ def decaying_fourier_quad(f, omega, **kwargs):
         raise QuadratureError("QAWF needs a nonzero frequency")
     kwargs.setdefault("limit", 600)
     kwargs.setdefault("maxp1", 200)
-    rc, e1 = quad(lambda x: np.real(f(x)), 0.0, np.inf, weight="cos", wvar=omega, **kwargs)
-    rs, e2 = quad(lambda x: np.real(f(x)), 0.0, np.inf, weight="sin", wvar=omega, **kwargs)
-    ic, e3 = quad(lambda x: np.imag(f(x)), 0.0, np.inf, weight="cos", wvar=omega, **kwargs)
-    is_, e4 = quad(lambda x: np.imag(f(x)), 0.0, np.inf, weight="sin", wvar=omega, **kwargs)
+    (rc, e1), (rs, e2), (ic, e3), (is_, e4) = _part_quads(
+        f, 0.0, np.inf, ("cos", "sin"), wvar=omega, **kwargs)
     value = (rc + is_) + 1j * (ic - rs)
     return value, e1 + e2 + e3 + e4
 

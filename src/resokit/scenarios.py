@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,7 @@ from . import expansion as xp
 from . import goldenrule as gr
 from . import histories as hi
 from . import survival as sv
-from .errors import ResokitError, SchemaError
+from .errors import DomainError, ResokitError, SchemaError
 from .gamow import GamowKet
 from .hardy import HardyFunction
 from .surface import ResonancePole, SMatrixModel
@@ -170,6 +171,9 @@ def _run_two_resonance(params, rng):
                        {"ray_tail": 1e-10, "leakage": 1e-5, "direct_tail": 1e-9})
     g_min = min(p.width for p in model.poles)
     t_end = lifetimes / g_min
+    if not math.isfinite(t_end):
+        raise SchemaError(f"{lifetimes:g} lifetimes overflow to t = {t_end}",
+                          path="parameters.lifetimes")
     state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
     exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
     matrix = xp.effective_matrix(model)
@@ -182,14 +186,17 @@ def _run_two_resonance(params, rng):
         rows.append([t, abs(trunc + bg), abs(trunc), err.error, abs(bg)])
     spots = [0.0, 1.0 / g_min, 3.0 / g_min]
     worst = 0.0
+    bound = 0.0
     for t in spots:
-        direct = xp.smatrix_pairing_direct(dual, state, model, t,
-                                           tail_tol=tols["direct_tail"]).value
+        pairing = xp.smatrix_pairing_direct(dual, state, model, t,
+                                            tail_tol=tols["direct_tail"])
         rec = exp.reconstruct(t)
-        worst = max(worst, abs(direct - rec) / abs(direct))
+        worst = max(worst, abs(pairing.value - rec) / abs(pairing.value))
+        bound = max(bound, pairing.error)
     cols = ["t", "full_abs", "truncated_abs", "truncation_error", "background_abs"]
     achieved = {
         "reconstruction_max_rel_err": float(worst),
+        "direct_error_bound_max": float(bound),
         "state_leakage": float(state.leakage),
         "effective_levels": float(matrix.size),
     }
@@ -204,26 +211,34 @@ def _run_contour_check(params, rng):
     raw_times = params.get("times_lifetimes", [0.0, 1.0, 3.0])
     if not isinstance(raw_times, list) or not raw_times:
         raise SchemaError("expected a nonempty list", path="parameters.times_lifetimes")
-    times = [
-        _as_float(v, f"parameters.times_lifetimes[{i}]") / g_min
-        for i, v in enumerate(raw_times)
-    ]
+    times = []
+    for i, v in enumerate(raw_times):
+        path = f"parameters.times_lifetimes[{i}]"
+        lifetimes = _as_float(v, path)
+        t = lifetimes / g_min
+        if not math.isfinite(t):
+            raise SchemaError(f"{lifetimes:g} lifetimes overflow to t = {t}", path=path)
+        times.append(t)
     if any(t < 0.0 for t in times):
         raise SchemaError("times must be >= 0", path="parameters.times_lifetimes")
     state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
     exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
     rows = []
     worst = 0.0
+    bound = 0.0
     for t in times:
-        direct = xp.smatrix_pairing_direct(dual, state, model, t,
-                                           tail_tol=tols["direct_tail"]).value
+        pairing = xp.smatrix_pairing_direct(dual, state, model, t,
+                                            tail_tol=tols["direct_tail"])
+        direct = pairing.value
         rec = exp.reconstruct(t)
         rel = abs(direct - rec) / abs(direct)
         worst = max(worst, rel)
+        bound = max(bound, pairing.error)
         rows.append([t, direct.real, direct.imag, rec.real, rec.imag, rel])
     cols = ["t", "direct_re", "direct_im", "reconstructed_re", "reconstructed_im",
             "relative_error"]
-    achieved = {"deformation_max_rel_err": float(worst)}
+    achieved = {"deformation_max_rel_err": float(worst),
+                "direct_error_bound_max": float(bound)}
     return cols, rows, achieved
 
 
@@ -277,6 +292,11 @@ def _run_khalfin(params, rng):
     if hi <= lo:
         raise SchemaError("lifetimes_max must exceed lifetimes_min",
                           path="parameters.lifetimes_max")
+    if math.exp(-hi) < sys.float_info.min:
+        raise SchemaError(
+            f"the exponential law e^-{hi:g} underflows the double range",
+            path="parameters.lifetimes_max",
+        )
     points = _as_int(params.get("points", 60), "parameters.points")
     cross = params.get("cross_check_lifetimes", [0.5, 1.0, 2.0])
     if not isinstance(cross, list):
@@ -407,6 +427,16 @@ def _plain_name(value, path):
     return value
 
 
+def _require_finite(rows, achieved):
+    """Refuse to report nan or inf; nothing has been written yet."""
+    for i, row in enumerate(rows):
+        if not all(math.isfinite(v) for v in row):
+            raise DomainError(f"row {i} has a non-finite cell {row}; nothing written")
+    for key, value in achieved.items():
+        if not math.isfinite(value):
+            raise DomainError(f"achieved {key} is {value}; nothing written")
+
+
 def _format_cell(value):
     if isinstance(value, float):
         return repr(value)
@@ -464,6 +494,7 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
     started = time.perf_counter()
     columns, rows, achieved = _RUNNERS[kind](params, rng)
     elapsed = time.perf_counter() - started
+    _require_finite(rows, achieved)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

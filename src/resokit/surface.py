@@ -23,8 +23,10 @@ every k where both sides exist.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +164,12 @@ class BackgroundPhase:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def phase(self, k):
+        if isinstance(k, numbers.Number):
+            k = complex(k)
+            out = 0j
+            for c, a, b in self.terms:
+                out = out + c * 2.0 * (k - a) / ((k - a) * (k - a) + b * b)
+            return out
         k = np.asarray(k, dtype=complex)
         out = np.zeros_like(k)
         for c, a, b in self.terms:
@@ -185,7 +193,12 @@ class BackgroundPhase:
 
 @dataclass(frozen=True)
 class SMatrixModel:
-    """Finite Blaschke product with an optional background phase."""
+    """Finite Blaschke product with an optional background phase.
+
+    Construction also stores, outside the dataclass fields, the pole
+    momenta with their conjugates and one (singularity, rejection radius)
+    pair per singularity, so evaluations do not recompute them.
+    """
 
     poles: tuple
     background: BackgroundPhase | None = None
@@ -204,38 +217,63 @@ class SMatrixModel:
                 if abs(ks[i] - ks[j]) < 1e-9 * max(abs(ks[i]), abs(ks[j])):
                     raise ConfigurationError("coincident resonance poles")
         object.__setattr__(self, "poles", poles)
+        factors = tuple((complex(k), complex(k).conjugate()) for k in ks)
+        sing = [s for k, kc in factors for s in (k, -kc)]
+        if self.background is not None:
+            sing.extend(self.background.pole_positions())
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_singularities", tuple(sing))
+        object.__setattr__(
+            self, "_guards",
+            tuple((s, self.proximity * max(abs(s), 1.0)) for s in sing),
+        )
 
     def singularities(self):
         """Momentum-plane poles of S: resonance poles, their mirror
         images -conj(k_i), and any background-phase poles."""
-        pts = []
-        for p in self.poles:
-            k = p.momentum
-            pts.extend([k, -np.conj(k)])
-        if self.background is not None:
-            pts.extend(self.background.pole_positions())
-        return tuple(pts)
+        return self._singularities
 
     def eval(self, k):
         """S(k) for scalar or array k; rejects points at pole distance
         below `proximity` relative to the pole scale."""
+        if isinstance(k, numbers.Number):
+            return self._scalar(complex(k))
         k_arr = np.asarray(k, dtype=complex)
-        for s in self.singularities():
+        for s, radius in self._guards:
             d = np.abs(k_arr - s)
-            if np.any(d < self.proximity * max(abs(s), 1.0)):
+            if np.any(d < radius):
                 raise PoleProximityError(
                     f"evaluation within {self.proximity:g} of pole {s}",
                     pole=s,
                     distance=float(np.min(d)),
                 )
         out = np.ones_like(k_arr)
-        for p in self.poles:
-            kp = p.momentum
-            out = out * (k_arr + kp) * (k_arr - np.conj(kp))
-            out = out / ((k_arr - kp) * (k_arr + np.conj(kp)))
+        for kp, kc in self._factors:
+            out = out * (k_arr + kp) * (k_arr - kc)
+            out = out / ((k_arr - kp) * (k_arr + kc))
         if self.background is not None:
             out = out * np.exp(2j * self.background.phase(k_arr))
         return out if out.shape else complex(out)
+
+    def _scalar(self, k):
+        """`eval` for one complex k in plain complex arithmetic, with the
+        same proximity guard, for the per-abscissa callbacks of adaptive
+        quadrature."""
+        for s, radius in self._guards:
+            d = abs(k - s)
+            if d < radius:
+                raise PoleProximityError(
+                    f"evaluation within {self.proximity:g} of pole {s}",
+                    pole=s,
+                    distance=d,
+                )
+        out = 1 + 0j
+        for kp, kc in self._factors:
+            out = out * (k + kp) * (k - kc)
+            out = out / ((k - kp) * (k + kc))
+        if self.background is not None:
+            out = out * cmath.exp(2j * self.background.phase(k))
+        return out
 
     def eval_energy(self, energy, sheet):
         return self.eval(energy_to_momentum(energy, sheet))
@@ -247,6 +285,11 @@ class SMatrixModel:
         factor evaluates to 1 there), so it is allowed even though the
         surface map is singular at the branch point.
         """
+        if isinstance(energy, numbers.Number):
+            energy = float(energy)
+            if energy < 0.0:
+                raise BranchPointError("physical spectrum evaluation needs E >= 0")
+            return self.eval(math.sqrt(energy))
         energy = np.asarray(energy, dtype=float)
         if np.any(energy < 0.0):
             raise BranchPointError("physical spectrum evaluation needs E >= 0")

@@ -98,6 +98,25 @@ class TestDirectPairing:
         res = smatrix_pairing_direct(psi, state, model, 1.0, tail_tol=1e-9)
         assert res.error >= 1e-9
 
+    def test_one_integrand_call_per_abscissa(self, psi, state, model_two, monkeypatch):
+        # the kaon_pair model and waves at its latest check time, 3 lifetimes
+        # of the narrower pole: four QAWO passes over about 1,000 abscissae
+        calls = []
+        real_quad = expansion.oscillatory_quad
+
+        def counting_quad(f, upper, omega, **kwargs):
+            def counted(e):
+                calls.append(e)
+                return f(e)
+
+            return real_quad(counted, upper, omega, **kwargs)
+
+        monkeypatch.setattr(expansion, "oscillatory_quad", counting_quad)
+        t = 3.0 / min(p.width for p in model_two.poles)
+        smatrix_pairing_direct(psi, state, model_two, t)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= 1100
+
 
 class TestExpansion:
     def test_coefficient_closed_form(self, exp_one, psi, state, model):

@@ -111,6 +111,54 @@ class TestHardyFunction:
         assert dag(e) == pytest.approx(np.conj(wf(e)))
 
 
+def _outcome(fn, x):
+    """fn(x), or the class of the resokit error it raises."""
+    try:
+        return fn(x)
+    except DomainError as exc:
+        return type(exc)
+
+
+line_points = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestScalarBranch:
+    @given(terms=upper_terms, z=line_points, flip=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_array_path(self, terms, z, flip):
+        wf = HardyFunction(terms=tuple(terms), half_plane=HalfPlane.UPPER)
+        if flip:
+            wf = wf.conjugated()
+        scalar = _outcome(wf, z)
+        array = _outcome(lambda x: wf(np.array([x]))[0], z)
+        if isinstance(array, type):
+            assert scalar is array
+            return
+        assert type(scalar) is complex
+        # the terms are summed in the same order, so the gap is rounding
+        # of the individual terms
+        scale = sum(abs(c / (complex(z) - p) ** n) for c, p, n in wf.terms)
+        assert abs(scalar - array) <= 1e-14 * scale
+        assert wf(np.complex128(z)) == scalar
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_gives_the_array_value(self, psi):
+        # complex ** raises OverflowError where numpy returns inf, so c/inf = 0
+        assert psi(1e200) == psi(np.array([1e200]))[0] == 0
+
+    @given(terms=upper_terms, which=st.integers(0, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_pole_rejected_on_both_paths(self, terms, which):
+        wf = HardyFunction(terms=tuple(terms), half_plane=HalfPlane.UPPER)
+        p = wf.terms[which % len(wf.terms)][1]
+        for z in (p, np.complex128(p), np.array([0.0, p])):
+            with pytest.raises(DomainError):
+                wf(z)
+
+
 class TestLineMoment:
     def test_simple_pole_upper(self, psi_order1):
         expected = -1j * np.pi * (0.5 + 0.2j)

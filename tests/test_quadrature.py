@@ -112,6 +112,61 @@ def test_decaying_fourier_quad_rejects_zero_frequency():
         decaying_fourier_quad(lambda x: np.exp(-x), 0.0)
 
 
+class _Counting:
+    """Integrand wrapper that records every abscissa it is called at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return self.f(x)
+
+
+def _lorentzian_pair(x):
+    return 1.0 / (x - (1.0 - 0.5j)) ** 2 + 0.3j / (x + 2.0 + 0.1j) ** 3
+
+
+def _unshared(f, a, b, weights, **kwargs):
+    """The (Re, w), (Im, w) quad passes, each evaluating f on its own."""
+    passes = []
+    for part in (np.real, np.imag):
+        for weight in weights:
+            extra = {} if weight is None else {"weight": weight}
+            passes.append(quad(lambda x: part(f(x)), a, b, **extra, **kwargs))
+    return passes
+
+
+@pytest.mark.parametrize(
+    "wrapper, args, a, b, weights, kwargs",
+    [
+        (complex_quad, (0.0, np.inf), 0.0, np.inf, (None,), {"limit": 400}),
+        (oscillatory_quad, (40.0, 3.0), 0.0, 40.0, ("cos", "sin"),
+         {"wvar": 3.0, "limit": 3000, "maxp1": 200}),
+        (decaying_fourier_quad, (2.0,), 0.0, np.inf, ("cos", "sin"),
+         {"wvar": 2.0, "limit": 600, "maxp1": 200}),
+    ],
+    ids=["complex_quad", "oscillatory_quad", "decaying_fourier_quad"],
+)
+def test_one_evaluation_per_abscissa(wrapper, args, a, b, weights, kwargs):
+    shared = _Counting(_lorentzian_pair)
+    value, err = wrapper(shared, *args)
+    assert len(shared.calls) == len(set(shared.calls))
+
+    unshared = _Counting(_lorentzian_pair)
+    passes = _unshared(unshared, a, b, weights, **kwargs)
+    assert set(shared.calls) == set(unshared.calls)
+    assert len(unshared.calls) > len(shared.calls)
+    if len(passes) == 2:
+        (re, e1), (im, e2) = passes
+        expected = re + 1j * im, e1 + e2
+    else:
+        (rc, e1), (rs, e2), (ic, e3), (is_, e4) = passes
+        expected = (rc + is_) + 1j * (ic - rs), e1 + e2 + e3 + e4
+    assert (value, err) == expected
+
+
 def test_circle_residue_simple_pole():
     res = circle_residue(lambda z: (3.0 - 2.0j) / (z - (1.0 + 1.0j)), 1.0 + 1.0j, 0.3)
     assert res == pytest.approx(3.0 - 2.0j, abs=1e-13)

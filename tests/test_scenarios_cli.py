@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resokit import expansion
+from resokit import expansion, scenarios
 from resokit.cli import main
 from resokit.errors import SchemaError
 from resokit.scenarios import KINDS, list_scenarios, load_config, run_scenario
@@ -181,6 +181,13 @@ class TestAchievedQuality:
         achieved = runs["histories_demo"][0]["achieved"]
         assert achieved["history_vs_sequential_max_diff"] < 1e-12
         assert achieved["entropy_min_gain"] >= -1e-10
+
+
+    @pytest.mark.parametrize("name", ["kaon_pair", "contour_check"])
+    def test_direct_error_bound_reported(self, runs, name):
+        # the QUADPACK bound of the direct oracle plus its 1e-9 tail cut
+        bound = runs[name][0]["achieved"]["direct_error_bound_max"]
+        assert 1e-9 <= bound < 1e-6
 
 
 class TestLongHorizons:
@@ -379,6 +386,40 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SchemaError"
         assert key in err["error"]["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "base, key, value, path",
+        [("kaon_pair", "lifetimes", 1e308, "parameters.lifetimes"),
+         ("contour_check", "times_lifetimes", [0.0, 1e308],
+          "parameters.times_lifetimes[1]"),
+         ("khalfin", "lifetimes_max", 1e6, "parameters.lifetimes_max"),
+         ("khalfin", "lifetimes_max", 710.0, "parameters.lifetimes_max")],
+        ids=["kaon_lifetimes", "contour_times", "khalfin_far", "khalfin_edge"],
+    )
+    def test_unrepresentable_times_exit_2(self, tmp_path, capsys, base, key, value, path):
+        # finite inputs whose derived times overflow, or whose exponential
+        # law underflows, used to write nan/inf rows or end in a traceback
+        cfg = load_config(base)
+        cfg["parameters"][key] = value
+        assert self._run_config(tmp_path, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"].startswith(path + ":")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "rows, achieved",
+        [([[0.0, 1.0], [1.0, math.nan]], {"quality": 0.0}),
+         ([[0.0, 1.0]], {"quality": math.inf})],
+        ids=["cell", "achieved"],
+    )
+    def test_non_finite_results_exit_1(self, tmp_path, capsys, monkeypatch, rows, achieved):
+        monkeypatch.setitem(scenarios._RUNNERS, "single_resonance",
+                            lambda params, rng: (["t", "value"], rows, achieved))
+        assert self._run_config(tmp_path, load_config("single_resonance")) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "DomainError"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
     def test_plain_stem_is_used(self, tmp_path, capsys):

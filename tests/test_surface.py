@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resokit.errors import (
@@ -189,3 +189,92 @@ class TestBackgroundPhase:
         assert blaschke_residue(model, 0) != pytest.approx(
             blaschke_residue(bare, 0), rel=1e-3
         )
+
+
+resonances = st.builds(
+    lambda energy, fraction: ResonancePole(energy=energy, width=fraction * energy),
+    st.floats(0.1, 5.0),
+    st.floats(0.01, 1.9),
+)
+backgrounds = st.one_of(
+    st.none(),
+    st.builds(
+        lambda terms: BackgroundPhase(terms=tuple(terms)),
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, -0.1), st.floats(0.1, 2.0)),
+            min_size=1,
+            max_size=2,
+        ),
+    ),
+)
+
+
+def _model(poles, background):
+    try:
+        return SMatrixModel(poles=tuple(poles), background=background)
+    except ConfigurationError:
+        assume(False)
+
+
+def _outcome(fn, x):
+    """fn(x), or the class of the resokit error it raises."""
+    try:
+        return fn(x)
+    except (PoleProximityError, BranchPointError) as exc:
+        return type(exc)
+
+
+def _same(scalar, array):
+    if isinstance(array, type):
+        assert scalar is array
+    else:
+        assert type(scalar) is complex
+        assert abs(scalar - array) <= 1e-14 * abs(array)
+
+
+class TestScalarBranch:
+    @given(
+        poles=st.lists(resonances, min_size=1, max_size=2),
+        background=backgrounds,
+        k=st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eval_matches_array_path(self, poles, background, k):
+        model = _model(poles, background)
+        if background is not None:
+            # keep the phase moderate: exp(2i delta) scales rounding by |delta|
+            assume(all(abs(k - s) > 0.1 for s in background.pole_positions()))
+        scalar = _outcome(model.eval, k)
+        _same(scalar, _outcome(lambda x: model.eval(np.array([x]))[0], k))
+        assert _outcome(model.eval, np.complex128(k)) == scalar
+
+    @given(
+        poles=st.lists(resonances, min_size=1, max_size=2),
+        background=backgrounds,
+        energy=st.one_of(st.floats(-10.0, 60.0), st.integers(-3, 60)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_on_spectrum_matches_array_path(self, poles, background, energy):
+        model = _model(poles, background)
+        scalar = _outcome(model.on_spectrum, energy)
+        array = _outcome(lambda e: model.on_spectrum(np.array([e], dtype=float))[0], energy)
+        _same(scalar, array)
+        assert (scalar is BranchPointError) == (energy < 0)
+
+    @given(
+        poles=st.lists(resonances, min_size=1, max_size=2),
+        background=backgrounds,
+        offset=st.floats(0.0, 0.9),
+        angle=st.floats(0.0, 2.0 * np.pi),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_guards_fire_on_both_paths(self, poles, background, offset, angle):
+        model = _model(poles, background)
+        for s in model.singularities():
+            radius = model.proximity * max(abs(s), 1.0)
+            inside = s + offset * radius * np.exp(1j * angle)
+            for k in (s, inside):
+                with pytest.raises(PoleProximityError):
+                    model.eval(complex(k))
+                with pytest.raises(PoleProximityError):
+                    model.eval(np.array([1.0, k]))

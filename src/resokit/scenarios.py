@@ -1,24 +1,29 @@
 """Deterministic scenario runner behind the command line interface.
 
 A scenario is a JSON config with a `kind` drawn from a fixed set, a
-`parameters` block validated per kind, and an optional `output` block.
-Running one produces a data file (CSV by default, JSON on request) and
-a manifest recording the effective config hash, the seed, achieved
-numerical qualities and wall time.  Reruns with the same config and
-seed write byte-identical data files; `--bless` additionally copies the
-outputs into a golden directory for regression pinning.
+`parameters` block validated by the kind's field table, and an optional
+`output` block.  Running one produces a data file (CSV by default, JSON
+on request) and a manifest recording the effective config hash, the
+seed, achieved numerical qualities and wall time.  Reruns with the same
+config and seed write byte-identical data files; `--bless` additionally
+copies the outputs into a golden directory for regression pinning.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
+import warnings
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from . import expansion as xp
 from . import goldenrule as gr
 from . import histories as hi
 from . import survival as sv
-from .errors import DomainError, ResokitError, SchemaError
+from .errors import ConfigurationError, DomainError, SchemaError
 from .gamow import GamowKet
 from .hardy import HardyFunction
 from .surface import ResonancePole, SMatrixModel
@@ -34,105 +39,178 @@ from .surface import ResonancePole, SMatrixModel
 __all__ = ["KINDS", "list_scenarios", "load_config", "run_scenario"]
 
 _DEFAULT_SEED = 2026
+_REQUIRED = object()
+_MAX_ROWS = 10_000
+_MAX_DECAY = -math.log(sys.float_info.min)  # e^-x stays a normal double
+_SPOTS = (0.0, 1.0, 3.0)  # two_resonance's direct checks, in lifetimes
 
-_DEFAULT_DUAL = {
-    "half_plane": "upper",
-    "terms": [{"re": 1.0, "im": 0.0, "pole_re": 2.0, "pole_im": -1.0, "order": 2}],
+# One key of a config object.  type is number, int, numbers (a nonempty
+# list of numbers), poles (a nonempty list of {energy, width} objects),
+# wave (a HardyFunction object) or tolerances (an object of _TOLERANCES
+# keys); gt, ge and le bound every number, and every number is finite.
+_Field = namedtuple("_Field", "name type default gt ge le",
+                    defaults=(_REQUIRED, None, None, None))
+
+_ENERGY = _Field("energy", "number", gt=0.0)
+_WIDTH = _Field("width", "number", gt=0.0)
+_TOLERANCES = (
+    _Field("ray_tail", "number", 1e-10, gt=0.0),
+    _Field("leakage", "number", 1e-5, gt=0.0),
+    _Field("direct_tail", "number", 1e-9, gt=0.0),
+)
+_EXPANSION = (
+    _Field("resonances", "poles"),
+    _Field("dual", "wave", {"half_plane": "upper", "terms": [
+        {"re": 1.0, "im": 0.0, "pole_re": 2.0, "pole_im": -1.0, "order": 2}]}),
+    _Field("state", "wave", {"half_plane": "lower", "terms": [
+        {"re": 1.0, "im": 0.0, "pole_re": 1.5, "pole_im": 0.8, "order": 2}]}),
+    _Field("tolerances", "tolerances", {}),
+)
+
+# the parameters of each kind; README.md lists them
+_SCHEMA = {
+    "single_resonance": (
+        _ENERGY, _WIDTH,
+        _Field("lifetimes", "number", 10.0, gt=0.0),
+        _Field("points", "int", 201, ge=1, le=_MAX_ROWS),
+    ),
+    "two_resonance": (
+        *_EXPANSION,
+        _Field("lifetimes", "number", 6.0, gt=0.0),
+        _Field("points", "int", 121, ge=1, le=_MAX_ROWS),
+    ),
+    "contour_check": (
+        *_EXPANSION,
+        _Field("times_lifetimes", "numbers", list(_SPOTS), ge=0.0),
+    ),
+    "golden_rule_sweep": (
+        _ENERGY,
+        _Field("cutoff", "number", 1.0, gt=0.0),
+        _Field("strength", "number", 1.0, gt=0.0),
+        _Field("ratios", "numbers",
+               [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], gt=0.0),
+    ),
+    "khalfin": (
+        _ENERGY, _WIDTH,
+        _Field("lifetimes_min", "number", 0.2, gt=0.0),
+        _Field("lifetimes_max", "number", 30.0, gt=0.0, le=_MAX_DECAY),
+        _Field("points", "int", 60, ge=1, le=_MAX_ROWS),
+        _Field("cross_check_lifetimes", "numbers", [0.5, 1.0, 2.0], gt=0.0),
+    ),
+    "histories_demo": (
+        _Field("levels", "int", 4, ge=2, le=32),
+        _Field("cases", "int", 20, ge=1, le=_MAX_ROWS),
+        _Field("time_scale", "number", 1.0, gt=0.0),
+    ),
 }
-_DEFAULT_STATE = {
-    "half_plane": "lower",
-    "terms": [{"re": 1.0, "im": 0.0, "pole_re": 1.5, "pole_im": 0.8, "order": 2}],
-}
 
 
-def _expect(params, key, kind, default=None, required=False):
-    if key in params:
-        return params[key]
-    if required:
-        raise SchemaError(f"missing required key for kind {kind!r}", path=f"parameters.{key}")
-    return default
-
-
-def _as_float(value, path, positive=False):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"expected a number, got {value!r}", path=path) from None
-    if not math.isfinite(out):
-        raise SchemaError(f"expected a finite number, got {out}", path=path)
-    if positive and not out > 0.0:
-        raise SchemaError(f"expected a positive number, got {out}", path=path)
+def _object(data, fields, path):
+    """Validate one JSON object against a field table; returns a dict."""
+    if not isinstance(data, dict):
+        raise SchemaError("expected an object", path=path)
+    names = [f.name for f in fields]
+    for key in data:
+        if key not in names:
+            raise SchemaError(f"unknown key (allowed: {', '.join(names)})",
+                              path=f"{path}.{key}")
+    out = {}
+    for f in fields:
+        if f.name not in data and f.default is _REQUIRED:
+            raise SchemaError("missing required key", path=f"{path}.{f.name}")
+        out[f.name] = _value(f, data.get(f.name, f.default), f"{path}.{f.name}")
     return out
 
 
-def _as_int(value, path, minimum=1):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"expected an integer, got {value!r}", path=path)
-    if value < minimum:
-        raise SchemaError(f"expected >= {minimum}, got {value}", path=path)
+def _value(f, value, path):
+    """Validate one value of field f."""
+    if f.type in ("numbers", "poles"):
+        if not isinstance(value, list) or not value:
+            raise SchemaError("expected a nonempty list", path=path)
+        item = f._replace(type="number" if f.type == "numbers" else "pole")
+        out = [_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return out if f.type == "numbers" else tuple(out)
+    if f.type == "pole":
+        try:
+            return ResonancePole(**_object(value, (_ENERGY, _WIDTH), path))
+        except ConfigurationError as exc:
+            raise SchemaError(str(exc), path=path) from exc
+    if f.type == "tolerances":
+        return _object(value, _TOLERANCES, path)
+    if f.type == "wave":
+        if not isinstance(value, dict):
+            raise SchemaError("expected a wave-function object", path=path)
+        try:
+            wave = HardyFunction.from_dict(value)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed wave function: {exc}", path=path) from exc
+        if not all(cmath.isfinite(c) and cmath.isfinite(q) for c, q, _ in wave.terms):
+            raise SchemaError("expected finite coefficients and poles", path=path)
+        return wave
+    integral = f.type == "int"
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise SchemaError(f"expected {'an integer' if integral else 'a number'},"
+                          f" got {value!r}", path=path)
+    if not (integral or abs(value) <= sys.float_info.max):
+        raise SchemaError(f"expected a finite number, got {value!r}", path=path)
+    value = value if integral else float(value)
+    for op, bound, holds in ((">", f.gt, operator.gt), (">=", f.ge, operator.ge),
+                             ("<=", f.le, operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise SchemaError(f"expected {op} {bound:g}, got {value!r}", path=path)
     return value
 
 
-def _resonance(data, path):
-    if not isinstance(data, dict):
-        raise SchemaError("expected an object with energy and width", path=path)
-    try:
-        return ResonancePole(
-            energy=_as_float(data.get("energy"), f"{path}.energy", positive=True),
-            width=_as_float(data.get("width"), f"{path}.width", positive=True),
-        )
-    except ResokitError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(str(exc), path=path) from exc
+def _narrowest(p):
+    return min(pole.width for pole in p.resonances)
 
 
-def _wave(data, path):
-    if not isinstance(data, dict):
-        raise SchemaError("expected a wave-function object", path=path)
-    try:
-        return HardyFunction.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed wave function: {exc}", path=path) from exc
-    except ResokitError as exc:
-        raise SchemaError(str(exc), path=path) from exc
+def _require(ok, key, message):
+    if not ok:
+        raise SchemaError(message, path=f"parameters.{key}")
 
 
-def _tolerances(params, kind, allowed):
-    tols = params.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise SchemaError("tolerances must be an object", path="parameters.tolerances")
-    out = dict(allowed)
-    for key, value in tols.items():
-        if key not in allowed:
-            raise SchemaError(
-                f"unknown tolerance key {key!r} for kind {kind!r}"
-                f" (allowed: {sorted(allowed)})",
-                path=f"parameters.tolerances.{key}",
-            )
-        out[key] = _as_float(value, f"parameters.tolerances.{key}", positive=True)
-    return out
+def _parse(params, kind):
+    """The validated parameters of one kind, as attributes."""
+    p = SimpleNamespace(**_object(params, _SCHEMA[kind], "parameters"))
+    if kind in ("single_resonance", "khalfin"):
+        p.pole = _value(_Field("pole", "pole"), {"energy": p.energy, "width": p.width},
+                        "parameters")
+    # one cross-field rule per kind; derived times must stay finite
+    overflow = "a derived time overflows the double range"
+    if kind == "single_resonance":
+        _require(math.isfinite(p.lifetimes / p.width), "lifetimes", overflow)
+    elif kind == "two_resonance":
+        _require(len(p.resonances) == 2, "resonances", "expected exactly two resonances")
+        _require(math.isfinite(max(p.lifetimes, *_SPOTS) / _narrowest(p)), "lifetimes",
+                 overflow)
+    elif kind == "contour_check":
+        for i, n in enumerate(p.times_lifetimes):
+            _require(math.isfinite(n / _narrowest(p)), f"times_lifetimes[{i}]", overflow)
+    elif kind == "golden_rule_sweep":
+        _require(len(p.ratios) >= 2 and all(b < a for a, b in zip(p.ratios, p.ratios[1:])),
+                 "ratios", "expected at least two strictly decreasing ratios")
+    elif kind == "khalfin":
+        _require(p.lifetimes_max > p.lifetimes_min, "lifetimes_max",
+                 "lifetimes_max must exceed lifetimes_min")
+        _require(math.isfinite(p.lifetimes_max / p.width), "lifetimes_max", overflow)
+        _require(math.isfinite(max(p.cross_check_lifetimes) / p.width),
+                 "cross_check_lifetimes", overflow)
+    else:  # histories_demo: t_second reaches 2 time_scale
+        _require(math.isfinite(2.0 * p.time_scale), "time_scale", overflow)
+    return p
 
 
-# one runner per kind; each returns (columns, rows, achieved, notes)
+# one runner per kind; each returns (columns, rows, achieved)
 
-def _run_single_resonance(params, rng):
-    pole = _resonance(
-        {
-            "energy": _as_float(_expect(params, "energy", "single_resonance", required=True), "parameters.energy", positive=True),
-            "width": _as_float(_expect(params, "width", "single_resonance", required=True), "parameters.width", positive=True),
-        },
-        "parameters",
-    )
-    lifetimes = _as_float(params.get("lifetimes", 10.0), "parameters.lifetimes", positive=True)
-    points = _as_int(params.get("points", 201), "parameters.points")
-    ket = GamowKet(pole)
-    ts = np.linspace(0.0, lifetimes / pole.width, points)
+def _run_single_resonance(p, rng):
+    ket = GamowKet(p.pole)
+    ts = np.linspace(0.0, p.lifetimes / p.width, p.points)
     rows = []
     law_dev = 0.0
     for t in ts:
         c = ket.evolution_coefficient(float(t))
-        law = float(np.exp(-pole.width * t))
+        law = float(np.exp(-p.width * t))
         law_dev = max(law_dev, abs(abs(c) ** 2 - law))
         rows.append([float(t), c.real, c.imag, abs(c) ** 2, law])
     sub = np.linspace(0.0, ts[-1] / 2.0, 20)
@@ -149,92 +227,52 @@ def _run_single_resonance(params, rng):
     return cols, rows, achieved
 
 
-def _expansion_inputs(params, kind):
-    raw = _expect(params, "resonances", kind, required=True)
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("expected a nonempty list", path="parameters.resonances")
-    poles = tuple(_resonance(r, f"parameters.resonances[{i}]") for i, r in enumerate(raw))
-    model = SMatrixModel(poles=poles)
-    dual = _wave(params.get("dual", _DEFAULT_DUAL), "parameters.dual")
-    state_wave = _wave(params.get("state", _DEFAULT_STATE), "parameters.state")
-    return model, dual, state_wave
+def _expansion_check(p, lifetimes):
+    """Expand p.state over p.resonances and pair it directly at each of
+    the lifetimes.  Returns (expansion, checks, worst, bound): one (t,
+    direct, reconstructed, relative error) per time, the largest
+    relative error and the largest direct-pairing error bound.
+    """
+    tols = p.tolerances
+    model = SMatrixModel(poles=p.resonances)
+    state = xp.PreparedState(p.state, leakage_tol=tols["leakage"])
+    exp = xp.expand(p.dual, state, model, ray_tail_tol=tols["ray_tail"])
+    checks = []
+    bound = 0.0
+    for t in (n / _narrowest(p) for n in lifetimes):
+        pairing = xp.smatrix_pairing_direct(p.dual, state, model, t,
+                                            tail_tol=tols["direct_tail"])
+        direct = pairing.value
+        rec = exp.reconstruct(t)
+        checks.append((t, direct, rec, abs(direct - rec) / abs(direct)))
+        bound = max(bound, pairing.error)
+    worst = max(rel for *_, rel in checks)
+    return exp, checks, worst, bound
 
 
-def _run_two_resonance(params, rng):
-    model, dual, state_wave = _expansion_inputs(params, "two_resonance")
-    if len(model.poles) != 2:
-        raise SchemaError("two_resonance needs exactly two resonances",
-                          path="parameters.resonances")
-    lifetimes = _as_float(params.get("lifetimes", 6.0), "parameters.lifetimes", positive=True)
-    points = _as_int(params.get("points", 121), "parameters.points")
-    tols = _tolerances(params, "two_resonance",
-                       {"ray_tail": 1e-10, "leakage": 1e-5, "direct_tail": 1e-9})
-    g_min = min(p.width for p in model.poles)
-    t_end = lifetimes / g_min
-    if not math.isfinite(t_end):
-        raise SchemaError(f"{lifetimes:g} lifetimes overflow to t = {t_end}",
-                          path="parameters.lifetimes")
-    state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
-    exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
-    matrix = xp.effective_matrix(model)
+def _run_two_resonance(p, rng):
+    exp, _, worst, bound = _expansion_check(p, _SPOTS)
     rows = []
-    for t in np.linspace(0.0, t_end, points):
+    for t in np.linspace(0.0, p.lifetimes / _narrowest(p), p.points):
         t = float(t)
         bg = exp.background(t)
         trunc = exp.pole_sum(t)
         err = xp.TruncationError.from_parts(trunc, bg)
         rows.append([t, abs(trunc + bg), abs(trunc), err.error, abs(bg)])
-    spots = [0.0, 1.0 / g_min, 3.0 / g_min]
-    worst = 0.0
-    bound = 0.0
-    for t in spots:
-        pairing = xp.smatrix_pairing_direct(dual, state, model, t,
-                                            tail_tol=tols["direct_tail"])
-        rec = exp.reconstruct(t)
-        worst = max(worst, abs(pairing.value - rec) / abs(pairing.value))
-        bound = max(bound, pairing.error)
     cols = ["t", "full_abs", "truncated_abs", "truncation_error", "background_abs"]
     achieved = {
         "reconstruction_max_rel_err": float(worst),
         "direct_error_bound_max": float(bound),
-        "state_leakage": float(state.leakage),
-        "effective_levels": float(matrix.size),
+        "state_leakage": float(exp.state.leakage),
+        "effective_levels": float(xp.effective_matrix(exp.model).size),
     }
     return cols, rows, achieved
 
 
-def _run_contour_check(params, rng):
-    model, dual, state_wave = _expansion_inputs(params, "contour_check")
-    tols = _tolerances(params, "contour_check",
-                       {"ray_tail": 1e-10, "leakage": 1e-5, "direct_tail": 1e-9})
-    g_min = min(p.width for p in model.poles)
-    raw_times = params.get("times_lifetimes", [0.0, 1.0, 3.0])
-    if not isinstance(raw_times, list) or not raw_times:
-        raise SchemaError("expected a nonempty list", path="parameters.times_lifetimes")
-    times = []
-    for i, v in enumerate(raw_times):
-        path = f"parameters.times_lifetimes[{i}]"
-        lifetimes = _as_float(v, path)
-        t = lifetimes / g_min
-        if not math.isfinite(t):
-            raise SchemaError(f"{lifetimes:g} lifetimes overflow to t = {t}", path=path)
-        times.append(t)
-    if any(t < 0.0 for t in times):
-        raise SchemaError("times must be >= 0", path="parameters.times_lifetimes")
-    state = xp.PreparedState(state_wave, leakage_tol=tols["leakage"])
-    exp = xp.expand(dual, state, model, ray_tail_tol=tols["ray_tail"])
-    rows = []
-    worst = 0.0
-    bound = 0.0
-    for t in times:
-        pairing = xp.smatrix_pairing_direct(dual, state, model, t,
-                                            tail_tol=tols["direct_tail"])
-        direct = pairing.value
-        rec = exp.reconstruct(t)
-        rel = abs(direct - rec) / abs(direct)
-        worst = max(worst, rel)
-        bound = max(bound, pairing.error)
-        rows.append([t, direct.real, direct.imag, rec.real, rec.imag, rel])
+def _run_contour_check(p, rng):
+    _, checks, worst, bound = _expansion_check(p, p.times_lifetimes)
+    rows = [[t, direct.real, direct.imag, rec.real, rec.imag, rel]
+            for t, direct, rec, rel in checks]
     cols = ["t", "direct_re", "direct_im", "reconstructed_re", "reconstructed_im",
             "relative_error"]
     achieved = {"deformation_max_rel_err": float(worst),
@@ -242,27 +280,13 @@ def _run_contour_check(params, rng):
     return cols, rows, achieved
 
 
-def _run_golden_rule_sweep(params, rng):
-    energy = _as_float(_expect(params, "energy", "golden_rule_sweep", required=True),
-                       "parameters.energy", positive=True)
-    cutoff = _as_float(params.get("cutoff", 1.0), "parameters.cutoff", positive=True)
-    strength = _as_float(params.get("strength", 1.0), "parameters.strength", positive=True)
-    ratios = params.get("ratios",
-                        [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
-    if not isinstance(ratios, list) or len(ratios) < 2:
-        raise SchemaError("expected a list of at least two ratios", path="parameters.ratios")
-    ratios = [
-        _as_float(r, f"parameters.ratios[{i}]", positive=True)
-        for i, r in enumerate(ratios)
-    ]
-    if any(b >= a for a, b in zip(ratios, ratios[1:])):
-        raise SchemaError("ratios must be strictly decreasing", path="parameters.ratios")
+def _run_golden_rule_sweep(p, rng):
     rows = []
     gaps = []
-    for r in ratios:
-        pole = ResonancePole(energy=energy, width=r * energy)
-        channel = gr.Channel(label="main", strength=strength,
-                             form_factor=gr.FormFactor(cutoff=cutoff))
+    for r in p.ratios:
+        pole = ResonancePole(energy=p.energy, width=r * p.energy)
+        channel = gr.Channel(label="main", strength=p.strength,
+                             form_factor=gr.FormFactor(cutoff=p.cutoff))
         config = gr.normalize(gr.DecayConfig(resonance=pole, channels=(channel,),
                                              detector=gr.Detector.ideal()))
         exact = gr.total_width_check(config)
@@ -270,7 +294,7 @@ def _run_golden_rule_sweep(params, rng):
         gap = abs(born - exact) / exact
         gaps.append(gap)
         rows.append([r, born, exact, gap])
-    slope = float(np.polyfit(np.log(ratios), np.log(gaps), 1)[0])
+    slope = float(np.polyfit(np.log(p.ratios), np.log(gaps), 1)[0])
     cols = ["width_over_energy", "born_rate", "exact_width", "relative_gap"]
     achieved = {
         "gap_loglog_slope": slope,
@@ -279,66 +303,35 @@ def _run_golden_rule_sweep(params, rng):
     return cols, rows, achieved
 
 
-def _run_khalfin(params, rng):
-    pole = _resonance(
-        {
-            "energy": _as_float(_expect(params, "energy", "khalfin", required=True), "parameters.energy", positive=True),
-            "width": _as_float(_expect(params, "width", "khalfin", required=True), "parameters.width", positive=True),
-        },
-        "parameters",
-    )
-    lo = _as_float(params.get("lifetimes_min", 0.2), "parameters.lifetimes_min", positive=True)
-    hi = _as_float(params.get("lifetimes_max", 30.0), "parameters.lifetimes_max", positive=True)
-    if hi <= lo:
-        raise SchemaError("lifetimes_max must exceed lifetimes_min",
-                          path="parameters.lifetimes_max")
-    if math.exp(-hi) < sys.float_info.min:
-        raise SchemaError(
-            f"the exponential law e^-{hi:g} underflows the double range",
-            path="parameters.lifetimes_max",
-        )
-    points = _as_int(params.get("points", 60), "parameters.points")
-    cross = params.get("cross_check_lifetimes", [0.5, 1.0, 2.0])
-    if not isinstance(cross, list):
-        raise SchemaError("expected a list", path="parameters.cross_check_lifetimes")
-    cross = [
-        _as_float(v, f"parameters.cross_check_lifetimes[{i}]", positive=True)
-        for i, v in enumerate(cross)
-    ]
-    density = sv.SpectralDensity.truncated_lorentzian(pole)
-    g = pole.width
+def _run_khalfin(p, rng):
+    density = sv.SpectralDensity.truncated_lorentzian(p.pole)
     rows = []
-    for t in np.geomspace(lo / g, hi / g, points):
+    for t in np.geomspace(p.lifetimes_min / p.width, p.lifetimes_max / p.width, p.points):
         t = float(t)
-        p = sv.survival_probability(density, t)
+        prob = sv.survival_probability(density, t)
         law = sv.exponential_law(density, t)
-        rows.append([t, p, law, p / law])
-    worst = 0.0
-    for l in cross:
-        t = l / g
-        a = sv.survival_amplitude(density, t, method="rotation")
-        b = sv.survival_amplitude(density, t, method="direct")
-        worst = max(worst, abs(a - b))
+        rows.append([t, prob, law, prob / law])
+    worst = max(abs(sv.survival_amplitude(density, n / p.width, method="rotation")
+                    - sv.survival_amplitude(density, n / p.width, method="direct"))
+                for n in p.cross_check_lifetimes)
     cols = ["t", "survival_probability", "exponential_law", "ratio"]
     achieved = {"cross_method_max_diff": float(worst)}
     return cols, rows, achieved
 
 
-def _run_histories_demo(params, rng):
-    levels = _as_int(params.get("levels", 4), "parameters.levels", minimum=2)
-    cases = _as_int(params.get("cases", 20), "parameters.cases")
-    scale = _as_float(params.get("time_scale", 1.0), "parameters.time_scale", positive=True)
+def _run_histories_demo(p, rng):
+    levels = p.levels
     rows = []
     worst = np.inf
     max_gap = 0.0
-    for case in range(cases):
+    for case in range(p.cases):
         rho = hi.random_density(levels, rng)
         h = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
         h = 0.5 * (h + h.conj().T)
         fam1 = hi.random_projector_family(levels, rng)
         fam2 = hi.random_projector_family(levels, rng)
-        t1 = scale * float(rng.uniform(0.2, 1.0))
-        t2 = t1 + scale * float(rng.uniform(0.2, 1.0))
+        t1 = p.time_scale * float(rng.uniform(0.2, 1.0))
+        t2 = t1 + p.time_scale * float(rng.uniform(0.2, 1.0))
         history = hi.History(steps=((fam1[0], t1), (fam2[0], t2)))
         prob = hi.history_probability(rho, h, history)
         try:
@@ -484,6 +477,7 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
         seed = config.get("seed", _DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError(f"seed must be an integer, got {seed!r}")
+    values = _parse(params, kind)
 
     effective = {"scenario": name, "kind": kind, "parameters": params, "seed": seed}
     digest = hashlib.sha256(
@@ -492,7 +486,12 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
 
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    columns, rows, achieved = _RUNNERS[kind](params, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            columns, rows, achieved = _RUNNERS[kind](values, rng)
+        except Warning as exc:
+            raise DomainError(f"{type(exc).__name__}: {exc}; nothing written") from exc
     elapsed = time.perf_counter() - started
     _require_finite(rows, achieved)
 

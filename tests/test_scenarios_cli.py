@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from resokit import expansion, scenarios
 from resokit.cli import main
@@ -30,6 +36,17 @@ def read_csv(path):
 
 def cells_close(a, b):
     return math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def run_cli(args):
+    """cli.main(args); returns the exit code, stderr and every warning
+    raised, which pytest would otherwise catch before stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +77,25 @@ class TestCatalog:
         for r in rows:
             assert r["kind"] in KINDS
             assert r["summary"]
+
+    def test_readme_lists_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.split("|")[1:-1]]
+            if cells and cells[0].strip("`") in KINDS:
+                rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
+        fields = {(kind, f.name): f for kind, table in scenarios._SCHEMA.items() for f in table}
+        assert set(rows) == set(fields)
+        for key, f in fields.items():
+            type_, default, bounds = rows[key]
+            assert type_ == f.type, key
+            if f.default is scenarios._REQUIRED:
+                assert default == "required", key
+            elif f.type in ("number", "int", "numbers"):
+                assert default == f"`{json.dumps(f.default)}`", key
+            for op, bound in ((">", f.gt), (">=", f.ge), ("<=", f.le)):
+                assert bound is None or f"{op} {bound:g}" in bounds, key
 
     def test_load_builtin_and_path(self, tmp_path):
         cfg = load_config("khalfin")
@@ -422,6 +458,51 @@ class TestCli:
         assert err["error"]["type"] == "DomainError"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "kind, parameters, args, code, path",
+        [("khalfin", {"energy": 1.0, "width": 0.05, "bogus": 3}, [], 2, "parameters.bogus"),
+         ("khalfin", {"energy": 1.0, "width": 0.05, "tolerances": {"zzz": 1}}, [], 2,
+          "parameters.tolerances"),
+         ("khalfin", {"energy": 1.0, "width": 0.05}, ["--tol-override", "bogus=1"], 2,
+          "parameters.tolerances"),
+         ("khalfin", {"energy": 1.0, "width": 1e-310}, [], 2, "parameters.lifetimes_max"),
+         ("khalfin", {"energy": 1.0, "width": 0.05, "cross_check_lifetimes": []}, [], 2,
+          "parameters.cross_check_lifetimes"),
+         ("single_resonance", {"energy": 1.0, "width": 1e-310}, [], 2,
+          "parameters.lifetimes"),
+         ("single_resonance", {"energy": 1.0, "width": 0.2, "points": 2**70}, [], 2,
+          "parameters.points"),
+         ("two_resonance", {"resonances": [{"energy": 1.0, "width": 0.2},
+                                           {"energy": 1.6, "width": 0.35}],
+                            "points": 10_001}, [], 2, "parameters.points"),
+         ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
+                            "times_lifetimes": [1e300]}, [], 1, None),
+         ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
+                            "dual": {"half_plane": "sideways", "terms": []}}, [], 2,
+          "parameters.dual"),
+         ("histories_demo", {"time_scale": 1e308}, [], 2, "parameters.time_scale"),
+         ("histories_demo", {"levels": 2**70}, [], 2, "parameters.levels")],
+        ids=["khalfin_unknown_key", "khalfin_unknown_tolerance",
+             "khalfin_override_without_tolerances", "khalfin_tiny_width",
+             "khalfin_no_cross_checks", "single_tiny_width", "single_points", "two_points",
+             "contour_far", "contour_bad_wave", "histories_scale", "histories_levels"],
+    )
+    def test_probes_exit_with_one_error(self, tmp_path, kind, parameters, args, code, path):
+        # each used to be accepted, end in a traceback, or print warnings
+        # before its JSON error
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        out_dir = tmp_path / "out"
+        got, err, caught = run_cli(["run", str(config), "--out-dir", str(out_dir), *args])
+        assert (got, caught) == (code, [])
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == ("SchemaError" if code == 2 else "DomainError")
+        if path:
+            assert error["message"].startswith(path + ":"), error
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
     def test_plain_stem_is_used(self, tmp_path, capsys):
         cfg = load_config("single_resonance")
         cfg["output"] = {"stem": "renamed"}
@@ -434,3 +515,83 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "golden" / "single_resonance" / "single_resonance.csv").exists()
+
+
+BASE_CONFIG = {r["kind"]: r["name"] for r in list_scenarios()}
+BASE_CONFIG["two_resonance"] = "kaon_pair"
+
+_NUMBERS = st.one_of(
+    st.floats(0.01, 40.0),
+    st.integers(1, 40),
+    st.sampled_from([0, -1, 1e-310, 1e-300, 1e300, 1e308, 710.0, 10_001, 2**70,
+                     math.inf, math.nan]),
+)
+_WRONG = st.sampled_from([True, None, "x", [], {}])
+_TERMS = st.lists(st.fixed_dictionaries(
+    {"re": _NUMBERS, "pole_re": _NUMBERS, "pole_im": st.floats(-3.0, 3.0) | _NUMBERS},
+    optional={"im": _NUMBERS, "order": st.integers(-1, 4) | _NUMBERS | _WRONG},
+), max_size=2)
+# values of each field type, mostly well formed
+_VALUES = {
+    "number": _NUMBERS,
+    "int": st.integers(-1, 40) | _NUMBERS,
+    "numbers": st.lists(_NUMBERS, max_size=4) | st.lists(
+        st.floats(0.001, 5.0), min_size=2, max_size=4, unique=True,
+    ).map(lambda xs: sorted(xs, reverse=True)),
+    "poles": st.lists(st.fixed_dictionaries({"energy": _NUMBERS, "width": _NUMBERS},
+                                            optional={"zzz": _NUMBERS}), max_size=3),
+    "wave": st.fixed_dictionaries({"half_plane": st.sampled_from(["upper", "lower", "x"]),
+                                   "terms": _TERMS}),
+    "tolerances": st.dictionaries(st.sampled_from(["ray_tail", "leakage", "direct_tail",
+                                                   "zzz"]), _NUMBERS, max_size=2),
+}
+
+
+@st.composite
+def mutated_configs(draw, kind):
+    """A built-in config of the kind with up to three keys dropped or
+    replaced, now and then an unknown key, and a tolerance override."""
+    cfg = load_config(BASE_CONFIG[kind])
+    params = cfg["parameters"]
+    fields = {f.name: f.type for f in scenarios._SCHEMA[kind]}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(fields)))
+        action = draw(st.sampled_from(["replace", "replace", "replace", "wrong", "drop"]))
+        if action == "drop":
+            params.pop(key, None)
+        else:
+            params[key] = draw(_WRONG if action == "wrong" else _VALUES[fields[key]])
+    if draw(st.integers(0, 9)) == 7:
+        params["bogus"] = 1.0
+    override = {8: ["--tol-override", "ray_tail=1e-9"], 9: ["--tol-override", "bogus=1"]}
+    return cfg, override.get(draw(st.integers(0, 9)), [])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_configs_run_or_fail_cleanly(kind, data):
+    cfg, override = data.draw(mutated_configs(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "config.json"
+        config.write_text(json.dumps(cfg))
+        code, err, caught = run_cli(["run", str(config), "--out-dir", str(root / "out"),
+                                     *override])
+        event(f"exit {code}")
+        assert caught == []
+        written = sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+        if code == 0:
+            name = cfg["scenario"]
+            assert err == ""
+            assert written == ["config.json", "out", f"out/{name}.csv",
+                               f"out/{name}.manifest.json"]
+            _, rows = read_csv(root / "out" / f"{name}.csv")
+            assert rows and all(math.isfinite(float(c)) for row in rows for c in row)
+        else:
+            assert code in (1, 2)
+            lines = err.splitlines()
+            assert len(lines) == 1, lines
+            assert set(json.loads(lines[0])) == {"error"}
+            assert written == ["config.json"]

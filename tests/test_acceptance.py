@@ -87,7 +87,7 @@ def test_criterion_1_semigroup_contract():
     matrix = effective_matrix(SMatrixModel(poles=(POLE,)))
     rho = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
     ham = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    state = PreparedState(PHI, validate=False)
+    state = PreparedState(PHI)
 
     # every evolving module rejects t < 0
     with pytest.raises(ArrowOfTimeError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from resokit.expansion import (
 )
 from resokit.quadrature import exp_sinh_rule, tanh_sinh_rule
 from resokit.surface import BackgroundPhase, SMatrixModel, blaschke_residue
+from test_hardy import _FlippedDeclaration
 
 CHECK_TIMES = (0.0, 5.0, 15.0)
 
@@ -47,27 +50,31 @@ def _synthetic(model, psi, state, coefficients, nodes, weights, values):
     )
 
 
+def _flipped_pairs(psi, phi, state):
+    """(dual, state) pairs where one side is a class-flipped declaration
+    that claims the class its slot needs."""
+    return [(_FlippedDeclaration(phi), state), (psi, _FlippedDeclaration(psi))]
+
+
 class TestPreparedState:
-    def test_records_leakage(self, phi):
+    def test_one_field(self, phi, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("PreparedState ran an FFT")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
         st = PreparedState(phi)
-        assert st.leakage is not None
-        assert st.leakage < 1e-7
+        assert st.wave is phi
+        assert [f.name for f in dataclasses.fields(st)] == ["wave"]
 
     def test_upper_wave_rejected(self, psi):
         with pytest.raises(HardyClassError):
             PreparedState(psi)
 
-    def test_non_hardy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PreparedState(lambda e: 0.0)
-
-    def test_tight_tolerance_trips_the_gate(self, phi):
-        with pytest.raises(HardyClassError):
-            PreparedState(phi, leakage_tol=1e-12)
-
-    def test_validate_false_skips_check(self, phi):
-        st = PreparedState(phi, validate=False)
-        assert st.leakage is None
+    def test_non_hardy_rejected(self, psi, phi):
+        # a class-flipped declaration is a callable, not a HardyFunction
+        for wave in (lambda e: 0.0, _FlippedDeclaration(psi), _FlippedDeclaration(phi)):
+            with pytest.raises(ConfigurationError):
+                PreparedState(wave)
 
 
 class TestDirectPairing:
@@ -85,6 +92,11 @@ class TestDirectPairing:
             dirac_pairing(psi, psi)
         with pytest.raises(HardyClassError):
             smatrix_pairing_direct(phi, state, model, 0.0)
+        for dual, wave in _flipped_pairs(psi, phi, state):
+            with pytest.raises(HardyClassError):
+                dirac_pairing(dual, wave)
+            with pytest.raises(HardyClassError):
+                smatrix_pairing_direct(dual, wave, model, 0.0)
 
     def test_negative_time_rejected(self, psi, state, model):
         with pytest.raises(ArrowOfTimeError):
@@ -236,6 +248,9 @@ class TestExpansion:
             expand(phi, state, model)
         with pytest.raises(HardyClassError):
             expand(psi, psi, model)
+        for dual, wave in _flipped_pairs(psi, phi, state):
+            with pytest.raises(HardyClassError):
+                expand(dual, wave, model)
 
 
 class TestSyntheticTables:

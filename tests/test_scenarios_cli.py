@@ -197,7 +197,7 @@ class TestAchievedQuality:
     def test_kaon_pair(self, runs):
         achieved = runs["kaon_pair"][0]["achieved"]
         assert achieved["reconstruction_max_rel_err"] < 1e-6
-        assert achieved["state_leakage"] < 1e-5
+        assert achieved["state_leakage"] == 0.0
         assert achieved["effective_levels"] == 2.0
 
     def test_golden_rule_sweep(self, runs):
@@ -397,7 +397,7 @@ class TestCli:
     def test_malformed_override_exits_2(self, tmp_path, capsys):
         code = main(
             ["run", "single_resonance", "--out-dir", str(tmp_path),
-             "--tol-override", "leakage"]
+             "--tol-override", "ray_tail"]
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -480,18 +480,31 @@ class TestCli:
          ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
                             "dual": {"half_plane": "sideways", "terms": []}}, [], 2,
           "parameters.dual"),
+         ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
+                            "tolerances": {"leakage": 1e-5}}, [], 2,
+          "parameters.tolerances.leakage"),
          ("histories_demo", {"time_scale": 1e308}, [], 2, "parameters.time_scale"),
-         ("histories_demo", {"levels": 2**70}, [], 2, "parameters.levels")],
+         ("histories_demo", {"levels": 2**70}, [], 2, "parameters.levels"),
+         ("khalfin", None, [], 2, None),
+         ("khalfin", '{"energy": 1%s, "width": 0.05}' % ("0" * 5000), [], 2, None)],
         ids=["khalfin_unknown_key", "khalfin_unknown_tolerance",
              "khalfin_override_without_tolerances", "khalfin_tiny_width",
              "khalfin_no_cross_checks", "single_tiny_width", "single_points", "two_points",
-             "contour_far", "contour_bad_wave", "histories_scale", "histories_levels"],
+             "contour_far", "contour_bad_wave", "contour_leakage_tolerance",
+             "histories_scale", "histories_levels", "config_is_directory",
+             "config_huge_integer"],
     )
     def test_probes_exit_with_one_error(self, tmp_path, kind, parameters, args, code, path):
         # each used to be accepted, end in a traceback, or print warnings
-        # before its JSON error
+        # before its JSON error.  parameters None makes the config path a
+        # directory; a string is written as raw JSON (json.dumps refuses
+        # integers over 4300 digits)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        if parameters is None:
+            config.mkdir()
+        else:
+            raw = parameters if isinstance(parameters, str) else json.dumps(parameters)
+            config.write_text(f'{{"kind": "{kind}", "parameters": {raw}}}')
         out_dir = tmp_path / "out"
         got, err, caught = run_cli(["run", str(config), "--out-dir", str(out_dir), *args])
         assert (got, caught) == (code, [])
@@ -502,6 +515,23 @@ class TestCli:
         if path:
             assert error["message"].startswith(path + ":"), error
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "pole_im, order, times",
+        [(0.001, 2, [0.0, 1.0, 3.0]), (0.8, 1, [1.0, 3.0])],
+        ids=["near_axis_pole", "order_one"],
+    )
+    def test_lower_states_are_accepted(self, tmp_path, capsys, pole_im, order, times):
+        # a LOWER wave is in its class by where its pole sits; both states
+        # used to be refused by a Paley-Wiener FFT grid (leakage 0.195 for
+        # the near-axis pole, a grid edge error for order 1)
+        cfg = load_config("contour_check")
+        cfg["parameters"]["state"] = {"half_plane": "lower", "terms": [
+            {"re": 1.0, "im": 0.0, "pole_re": 1.5, "pole_im": pole_im, "order": order}]}
+        cfg["parameters"]["times_lifetimes"] = times
+        assert self._run_config(tmp_path, cfg) == 0
+        manifest = json.loads((tmp_path / "out" / "contour_check.manifest.json").read_text())
+        assert manifest["achieved"]["deformation_max_rel_err"] < 1e-6
 
     def test_plain_stem_is_used(self, tmp_path, capsys):
         cfg = load_config("single_resonance")
@@ -542,8 +572,8 @@ _VALUES = {
                                             optional={"zzz": _NUMBERS}), max_size=3),
     "wave": st.fixed_dictionaries({"half_plane": st.sampled_from(["upper", "lower", "x"]),
                                    "terms": _TERMS}),
-    "tolerances": st.dictionaries(st.sampled_from(["ray_tail", "leakage", "direct_tail",
-                                                   "zzz"]), _NUMBERS, max_size=2),
+    "tolerances": st.dictionaries(st.sampled_from(["ray_tail", "direct_tail", "zzz"]),
+                                  _NUMBERS, max_size=2),
 }
 
 

@@ -79,6 +79,10 @@ class StateError(ResokitError, ValueError):
     """Operation requires a normalized configuration."""
 
 
+class OutputError(ResokitError, OSError):
+    """Outputs could not be written where the run was asked to put them."""
+
+
 class ChannelLookupError(ResokitError, KeyError):
     """Unknown decay channel label."""
 

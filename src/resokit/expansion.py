@@ -23,9 +23,10 @@ all t >= 0, so its size does not depend on the evaluation horizon;
 every background evaluation is verified against the embedded
 step-doubled rule.
 
-Pole coefficients are extracted with midpoint-rule circle integrals at
-a quarter of the distance to the nearest other singularity, and checked
-for radius independence.
+Pole coefficients are residues taken in closed form: S has simple
+poles whose residues `blaschke_residue` gives exactly, and the wave
+factors are analytic there, so b_i = -2 pi i 2 k_i conj(psi)(z_i)
+phi(z_i) Res S(k_i) with z_i = k_i^2.
 """
 
 from __future__ import annotations
@@ -38,20 +39,16 @@ import numpy as np
 from .errors import (
     ArrowOfTimeError,
     ConfigurationError,
-    GeometryError,
     HardyClassError,
     QuadratureError,
 )
 from .hardy import HalfPlane, HardyFunction
-# unused here; resobench/tracer.py wraps the benchmark span at this name
+# unused here; resobench/tracer.py wraps the benchmark spans at these
+# names, and its self-tests require every wrapped site to resolve
 from .hardy import paley_wiener_check  # noqa: F401
-from .quadrature import (
-    circle_residue,
-    complex_quad,
-    exp_sinh_rule,
-    oscillatory_quad,
-)
-from .surface import SMatrixModel
+from .quadrature import circle_residue  # noqa: F401
+from .quadrature import complex_quad, exp_sinh_rule, oscillatory_quad
+from .surface import SMatrixModel, blaschke_residue
 
 __all__ = [
     "PreparedState",
@@ -164,26 +161,6 @@ def smatrix_pairing_direct(psi, state, model, t, tail_tol=1e-9):
     return PairingResult(value=value, error=err + tail_tol)
 
 
-def _wave_momentum_images(dag, wave):
-    """Momentum-plane images of every energy pole of the pair.
-
-    Hardy classes keep these out of the closed fourth quadrant; that is
-    verified here because the deformation is meaningless otherwise.
-    """
-    images = []
-    for f in (dag, wave):
-        for _, p, _ in f.terms:
-            root = np.sqrt(complex(p))
-            for k_img in (root, -root):
-                if k_img.real > 1e-12 and k_img.imag < -1e-12:
-                    raise GeometryError(
-                        f"energy pole {p} has a momentum image {k_img} inside "
-                        "the deformation quadrant"
-                    )
-                images.append(k_img)
-    return images
-
-
 @dataclass(frozen=True, eq=False)
 class ResonanceExpansion:
     """Pole coefficients plus a frozen background table.
@@ -257,20 +234,25 @@ _LINE_STEP = 0.1
 _LINE_HALVINGS = 8
 
 
-def expand(psi, state, model, ray_tail_tol=1e-10, nodes=256):
+def expand(psi, state, model, ray_tail_tol=1e-10):
     """Deform the evolved pairing into pole terms plus a background table.
 
-    The background table is one exp-sinh rule on the steepest-descent
-    line k = e^{-i pi/4} s, shared by all t >= 0; no parameter depends
-    on the evaluation horizon.  Rotating the exit ray k = -i u onto that
-    line sweeps the momentum sector arg k in (-pi/2, -pi/4), which holds
-    no singularity of the integrand: `ResonancePole` requires
-    width < 2 energy, so every resonance pole has arg k > -pi/8;
-    `BackgroundPhase` poles have negative real part; and the momentum
-    images of Hardy-class wave poles lie in the first and third
-    quadrants, which `_wave_momentum_images` verifies.  On the arc at
-    infinity the integrand decays algebraically and e^{i u^2 t} is
-    bounded for t >= 0, so the rotation leaves bg(t) unchanged.
+    Each pole coefficient is -2 pi i times the residue of the momentum
+    integrand 2k conj(psi)(k^2) S(k) phi(k^2) at the pole k_i, in closed
+    form from `blaschke_residue`.  The background table is one exp-sinh
+    rule on the steepest-descent line k = e^{-i pi/4} s, shared by all
+    t >= 0; no parameter depends on the evaluation horizon.  Rotating
+    the exit ray k = -i u onto that line sweeps the momentum sector
+    arg k in (-pi/2, -pi/4), which holds no singularity of the
+    integrand: `ResonancePole` requires width < 2 energy, so every
+    resonance pole has arg k > -pi/8; `BackgroundPhase` poles have
+    negative real part; and both wave factors are LOWER class (the
+    state by `_require_pair`, the dual as the conjugate of an UPPER
+    function), so every wave pole p has Im p > 0 and its momentum
+    images +-sqrt(p) lie in the open first and third quadrants, never in
+    the closed fourth.  On the arc at infinity the integrand decays
+    algebraically and e^{i u^2 t} is bounded for t >= 0, so the rotation
+    leaves bg(t) unchanged.
 
     Parameters
     ----------
@@ -281,8 +263,6 @@ def expand(psi, state, model, ray_tail_tol=1e-10, nodes=256):
         Absolute bound on the stride-doubling estimate of the line
         integral at t = 0, where the integrand decays slowest.  The
         exp-sinh step starts at 0.1 and is halved until the bound holds.
-    nodes : int
-        Circle nodes for residue extraction.
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("expand needs an SMatrixModel")
@@ -290,28 +270,11 @@ def expand(psi, state, model, ray_tail_tol=1e-10, nodes=256):
     if not ray_tail_tol > 0.0:
         raise ConfigurationError("ray_tail_tol must be positive")
 
-    images = _wave_momentum_images(dag, wave)
-    sing = list(model.singularities()) + images
-
-    def integrand(k):
-        return dag(k * k) * model.eval(k) * wave(k * k) * 2.0 * k
-
-    coeffs = []
-    for i, pole in enumerate(model.poles):
-        ki = pole.momentum
-        dist = min(
-            [abs(ki - s) for s in sing if abs(ki - s) > 1e-13 * abs(ki)]
-            + [abs(ki.imag), abs(ki.real)]
-        )
-        radius = 0.25 * dist
-        b_outer = -2j * np.pi * circle_residue(integrand, ki, radius, nodes=nodes)
-        b_inner = -2j * np.pi * circle_residue(integrand, ki, 0.5 * radius, nodes=nodes)
-        if abs(b_outer - b_inner) > 1e-8 * max(abs(b_inner), 1e-30):
-            raise QuadratureError(
-                f"residue at pole {i} depends on the circle radius "
-                f"({abs(b_outer - b_inner):.3e}); singularity layout suspect"
-            )
-        coeffs.append(complex(b_inner))
+    coeffs = tuple(
+        complex(-2j * np.pi * 2.0 * pole.momentum * dag(pole.position)
+                * wave(pole.position) * blaschke_residue(model, i))
+        for i, pole in enumerate(model.poles)
+    )
 
     def line_values(s):
         # e^{i pi/4} g(e^{i pi/4} s): the ray integrand times du/ds
@@ -338,7 +301,7 @@ def expand(psi, state, model, ray_tail_tol=1e-10, nodes=256):
         model=model,
         psi=psi,
         state=state,
-        coefficients=tuple(coeffs),
+        coefficients=coeffs,
         ray_nodes=ray_s,
         ray_weights=ray_w,
         ray_values=ray_vals,

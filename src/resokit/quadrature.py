@@ -1,14 +1,15 @@
 """Quadrature kernels used across the package.
 
-Two families live here.  The double-exponential (tanh-sinh and exp-sinh)
-rules produce explicit node/weight tables; the contour-deformation code
-stores those tables immutably and reuses them for every evolution time,
-checking convergence by comparing against the embedded step-doubled rule
-(the even-index subset of a table with step h is exactly the table with
-step 2h).  The scipy wrappers adapt ``scipy.integrate.quad`` to complex
+Three kinds of rule live here.  The exp-sinh rule on (0, inf) produces
+an explicit node/weight table; the contour-deformation code stores that
+table immutably and reuses it for every evolution time, checking
+convergence by comparing against the embedded step-doubled rule (the
+even-index subset of a table with step h is exactly the table with step
+2h).  The scipy wrappers adapt ``scipy.integrate.quad`` to complex
 integrands, full-line integrals and oscillatory Fourier weights; their
 separate real/imaginary (and cos/sin) passes share one evaluation of the
-integrand per abscissa.
+integrand per abscissa.  The midpoint rule on a circle gives contour
+residues.
 """
 
 from __future__ import annotations
@@ -17,66 +18,18 @@ from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import expit
 
 from .errors import QuadratureError
 
 __all__ = [
-    "tanh_sinh_rule",
     "exp_sinh_rule",
     "integrate_exp_sinh",
     "complex_quad",
     "complex_quad_full_line",
     "oscillatory_quad",
     "decaying_fourier_quad",
-    "circle_sum",
     "circle_residue",
 ]
-
-
-def tanh_sinh_rule(a, b, h, clip=3.6):
-    """Tanh-sinh nodes and weights for the finite interval (a, b).
-
-    Parameters
-    ----------
-    a, b : float
-        Interval endpoints, a < b.  Nodes are placed by their offset
-        from the nearer endpoint in a cancellation-free form, so an
-        endpoint sitting at zero is approached arbitrarily closely and
-        integrable singularities there are evaluated at genuinely
-        interior points.  A nonzero endpoint is resolved only to its
-        own rounding spacing, which caps how deep a singularity there
-        can be probed.
-    h : float
-        Step in the trapezoidal variable.  The even-index subset of the
-        returned table is exactly the rule with step 2h, which is what
-        the stride-doubling error checks rely on.
-    clip : float, optional
-        Truncation of the trapezoidal variable.  The default keeps the
-        truncated tail near 1e-12 even for integrable endpoint
-        singularities; raise it to push that floor lower.
-
-    Returns
-    -------
-    x, w : ndarray
-        Nodes in (a, b) and positive weights, ordered by the underlying
-        trapezoidal index so stride slicing stays meaningful.
-    """
-    if not b > a:
-        raise QuadratureError(f"empty interval [{a}, {b}]")
-    if h <= 0:
-        raise QuadratureError("step must be positive")
-    m = int(np.ceil(clip / h))
-    if m % 2:
-        m += 1  # even m keeps the [::2] subset exactly on the 2h grid
-    t = np.arange(-m, m + 1) * h
-    s = 0.5 * np.pi * np.sinh(t)
-    w = 0.5 * np.pi * np.cosh(t) / np.cosh(s) ** 2 * h
-    span = b - a
-    # expit(2s) equals (1 + tanh(s))/2 but never saturates, so the gap
-    # to the nearer endpoint survives in floating point
-    x = np.where(s <= 0.0, a + span * expit(2.0 * s), b - span * expit(-2.0 * s))
-    return x, 0.5 * span * w
 
 
 @lru_cache(maxsize=64)
@@ -84,9 +37,9 @@ def exp_sinh_rule(h, clip=3.7):
     """Exp-sinh nodes and weights for (0, inf), decaying integrands.
 
     The map x = exp(pi/2 sinh t) spreads nodes from 0 to infinity double
-    exponentially.  Same stride-doubling property as `tanh_sinh_rule`:
-    the even-index subset is the rule with step 2h.  Tables are cached
-    and read-only; copy before mutating.
+    exponentially.  The even-index subset of the table is the rule with
+    step 2h, which the stride-doubling error checks rely on.  Tables are
+    cached and read-only; copy before mutating.
     """
     if h <= 0:
         raise QuadratureError("step must be positive")
@@ -196,21 +149,14 @@ def decaying_fourier_quad(f, omega, **kwargs):
     return value, e1 + e2 + e3 + e4
 
 
-def circle_sum(f, center, radius, moment=0, nodes=256):
-    """(1/2 pi i) contour integral of f(z) (z - center)^moment on a circle.
+def circle_residue(f, center, radius, nodes=256):
+    """(1/2 pi i) contour integral of f on a circle: the residue of an
+    isolated singularity inside it.
 
     Midpoint rule on the circle; spectrally accurate for integrands
-    analytic in an annulus around the contour.  moment=0 with a simple
-    pole inside returns its residue, moment=1 returns residue * position
-    offsets, which is what the pole locator uses.
+    analytic in an annulus around the contour.
     """
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
     z = center + radius * np.exp(1j * theta)
-    vals = f(z) * (z - center) ** moment
     # dz = i r e^{i theta} dtheta folds the 1/(2 pi i) away
-    return np.mean(vals * radius * np.exp(1j * theta))
-
-
-def circle_residue(f, center, radius, nodes=256):
-    """Residue of f at an isolated singularity inside the circle."""
-    return circle_sum(f, center, radius, moment=0, nodes=nodes)
+    return np.mean(f(z) * radius * np.exp(1j * theta))

@@ -31,7 +31,7 @@ from . import expansion as xp
 from . import goldenrule as gr
 from . import histories as hi
 from . import survival as sv
-from .errors import ConfigurationError, DomainError, SchemaError
+from .errors import ConfigurationError, DomainError, OutputError, SchemaError
 from .gamow import GamowKet
 from .hardy import HardyFunction
 from .surface import ResonancePole, SMatrixModel
@@ -392,12 +392,13 @@ def list_scenarios():
 def load_config(source):
     """Load a scenario config from a path or a built-in name."""
     path = Path(source)
-    if path.exists():
-        try:
+    try:
+        exists = path.exists()
+        if exists:
             data = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:  # a directory, bad JSON, a huge int
-            raise SchemaError(f"config is not a readable JSON file: {exc}") from exc
-    else:
+    except (OSError, ValueError) as exc:  # a directory, a too long name, bad JSON, a huge int
+        raise SchemaError(f"config is not a readable JSON file: {exc}") from exc
+    if not exists:
         builtin = _builtin_dir() / f"{source}.json"
         try:
             exists = builtin.is_file()
@@ -476,8 +477,12 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
         params["tolerances"] = {**merged, **tol_overrides}
     if seed is None:
         seed = config.get("seed", _DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
+    golden_dir = output.get("golden_dir")
+    if golden_dir is not None and not isinstance(golden_dir, str):
+        raise SchemaError(f"expected a path string, got {golden_dir!r}",
+                          path="output.golden_dir")
     values = _parse(params, kind)
 
     effective = {"scenario": name, "kind": kind, "parameters": params, "seed": seed}
@@ -497,7 +502,12 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
     _require_finite(rows, achieved)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    golden_dir = Path(golden_dir) if golden_dir else out_dir / "golden" / name
+    for directory in (out_dir, golden_dir) if bless else (out_dir,):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            raise OutputError(f"cannot create output directory: {exc}") from exc
     data_path = out_dir / f"{stem}.{fmt}"
     _write_rows(data_path, columns, rows, fmt)
 
@@ -520,9 +530,6 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
         fh.write("\n")
 
     if bless:
-        golden_dir = output.get("golden_dir")
-        golden_dir = Path(golden_dir) if golden_dir else out_dir / "golden" / name
-        golden_dir.mkdir(parents=True, exist_ok=True)
         (golden_dir / data_path.name).write_bytes(data_path.read_bytes())
         stable = {k: v for k, v in manifest.items() if k != "wall_time_s"}
         with open(golden_dir / manifest_path.name, "w") as fh:

@@ -37,7 +37,7 @@ from .errors import (
     GeometryError,
     PoleProximityError,
 )
-from .quadrature import circle_sum
+from .quadrature import circle_residue
 
 __all__ = [
     "Sheet",
@@ -337,8 +337,8 @@ def locate_pole(model, center, radius, nodes=256):
     contour moments give the position exactly:
     oint k f dk / oint f dk = k_pole.  Spectral accuracy in `nodes`.
     """
-    m0 = circle_sum(model.eval, center, radius, moment=0, nodes=nodes)
-    m1 = circle_sum(lambda k: model.eval(k) * k, center, radius, moment=0, nodes=nodes)
+    m0 = circle_residue(model.eval, center, radius, nodes=nodes)
+    m1 = circle_residue(lambda k: model.eval(k) * k, center, radius, nodes=nodes)
     if abs(m0) == 0.0:
         raise GeometryError("no pole enclosed by the search circle")
     return m1 / m0

@@ -1,7 +1,10 @@
+import cmath
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resokit import expansion
 from resokit.errors import (
@@ -21,8 +24,9 @@ from resokit.expansion import (
     smatrix_pairing_direct,
     truncated_evolve,
 )
-from resokit.quadrature import exp_sinh_rule, tanh_sinh_rule
-from resokit.surface import BackgroundPhase, SMatrixModel, blaschke_residue
+from resokit.hardy import HalfPlane, HardyFunction
+from resokit.quadrature import circle_residue, exp_sinh_rule
+from resokit.surface import BackgroundPhase, ResonancePole, SMatrixModel, blaschke_residue
 from test_hardy import _FlippedDeclaration
 
 CHECK_TIMES = (0.0, 5.0, 15.0)
@@ -48,6 +52,27 @@ def _synthetic(model, psi, state, coefficients, nodes, weights, values):
         ray_weights=np.asarray(weights, dtype=float),
         ray_values=np.asarray(values, dtype=complex),
     )
+
+
+def _contour_coefficient(psi, state, model, i):
+    """-2 pi i times the residue at pole i of the momentum integrand, by a
+    circle integral: independent of `blaschke_residue`."""
+    dag = psi.conjugated()
+    k = model.poles[i].momentum
+
+    def integrand(q):
+        return dag(q * q) * model.eval(q) * state.wave(q * q) * 2.0 * q
+
+    return -2j * np.pi * circle_residue(integrand, k, 0.25 * abs(k.imag))
+
+
+def _closed_form_coefficient(psi, state, model, i):
+    # residue of dag(k^2) S(k) wave(k^2) 2k at the pole factorizes
+    # into function values times the S-matrix residue
+    pole = model.poles[i]
+    z = pole.position
+    return (-2j * np.pi * psi.conjugated()(z) * state.wave(z) * 2.0 * pole.momentum
+            * blaschke_residue(model, i))
 
 
 def _flipped_pairs(psi, phi, state):
@@ -81,9 +106,9 @@ class TestDirectPairing:
     def test_dirac_pairing_cross_method(self, psi, state):
         value = dirac_pairing(psi, state)
         dag = psi.conjugated()
-        u, w = tanh_sinh_rule(0.0, 2000.0, 1e-3)
+        u, w = exp_sinh_rule(0.02)
         alt = np.sum(w * dag(u) * state.wave(u))
-        assert value == pytest.approx(alt, rel=1e-9)
+        assert value == pytest.approx(alt, rel=1e-12)
 
     def test_wrong_classes_rejected(self, psi, phi, state, model):
         with pytest.raises(HardyClassError):
@@ -132,13 +157,7 @@ class TestDirectPairing:
 
 class TestExpansion:
     def test_coefficient_closed_form(self, exp_one, psi, state, model):
-        # residue of dag(k^2) S(k) wave(k^2) 2k at the pole factorizes
-        # into function values times the S-matrix residue
-        k1 = model.poles[0].momentum
-        z1 = model.poles[0].position
-        dag = psi.conjugated()
-        expected = -2j * np.pi * dag(z1) * state.wave(z1) * 2.0 * k1
-        expected *= blaschke_residue(model, 0)
+        expected = _contour_coefficient(psi, state, model, 0)
         assert exp_one.coefficients[0] == pytest.approx(expected, rel=1e-9)
 
     def test_frozen_single_pole_coefficient(self, exp_one):
@@ -147,16 +166,56 @@ class TestExpansion:
         )
 
     def test_two_pole_coefficients_closed_form(self, exp_two, psi, state, model_two):
-        dag = psi.conjugated()
-        for i, pole in enumerate(model_two.poles):
-            expected = (
-                -2j * np.pi
-                * dag(pole.position)
-                * state.wave(pole.position)
-                * 2.0 * pole.momentum
-                * blaschke_residue(model_two, i)
-            )
+        for i in range(len(model_two.poles)):
+            expected = _contour_coefficient(psi, state, model_two, i)
             assert exp_two.coefficients[i] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "poles",
+        [((1.0, 1e-7),), ((1.0, 0.2), (1.0 + 1e-7, 0.2)), ((1e6, 0.2),)],
+        ids=["narrow", "near_pair", "high_energy"],
+    )
+    def test_coefficients_are_closed_form_at_the_edges(self, psi, state, poles):
+        # layouts where a circle integral around the pole loses digits (up to
+        # 1.4e-9 relative): a narrow pole, a near pair and a high energy
+        model = SMatrixModel(poles=tuple(ResonancePole(e, w) for e, w in poles))
+        exp = expand(psi, state, model)
+        for i, b in enumerate(exp.coefficients):
+            expected = _closed_form_coefficient(psi, state, model, i)
+            assert abs(b - expected) <= 1e-13 * abs(expected)
+
+    def test_no_circle_integral(self, psi, state, model_two, monkeypatch):
+        def no_circle(*args, **kwargs):
+            raise AssertionError("expand ran a circle integral")
+
+        monkeypatch.setattr(expansion, "circle_residue", no_circle)
+        exp = expand(psi, state, model_two)
+        assert len(exp.coefficients) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dual_poles=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, -1e-6)),
+                            min_size=1, max_size=3),
+        wave_poles=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 50.0)),
+                            min_size=1, max_size=3),
+    )
+    def test_wave_poles_avoid_the_deformation_quadrant(self, dual_poles, wave_poles):
+        # the pair `expand` accepts is LOWER on both sides, so no momentum
+        # image +-sqrt(p) of a wave pole lies in the closed fourth quadrant
+        def wave(poles, half_plane):
+            terms = tuple((1.0, complex(re, im), 1) for re, im in poles)
+            return HardyFunction(terms=terms, half_plane=half_plane)
+
+        dag, phi = expansion._require_pair(
+            wave(dual_poles, HalfPlane.UPPER),
+            PreparedState(wave(wave_poles, HalfPlane.LOWER)),
+        )
+        for f in (dag, phi):
+            assert f.half_plane is HalfPlane.LOWER
+            for _, p, _ in f.terms:
+                root = cmath.sqrt(p)
+                for k in (root, -root):
+                    assert not (k.real >= 0.0 and k.imag <= 0.0), (p, k)
 
     @pytest.mark.parametrize("t", CHECK_TIMES)
     def test_deformation_identity_single_pole(self, exp_one, psi, state, model, t):

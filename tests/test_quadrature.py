@@ -5,41 +5,13 @@ from scipy.integrate import quad
 from resokit.errors import QuadratureError
 from resokit.quadrature import (
     circle_residue,
-    circle_sum,
     complex_quad,
     complex_quad_full_line,
     decaying_fourier_quad,
     exp_sinh_rule,
     integrate_exp_sinh,
     oscillatory_quad,
-    tanh_sinh_rule,
 )
-
-
-def test_tanh_sinh_polynomial_exact():
-    x, w = tanh_sinh_rule(0.0, 2.0, 5e-3)
-    assert np.sum(w * x**3) == pytest.approx(4.0, abs=1e-13)
-
-
-def test_tanh_sinh_endpoint_singularity():
-    # integrable inverse square root at the left endpoint
-    x, w = tanh_sinh_rule(0.0, 1.0, 2e-3)
-    assert np.sum(w / np.sqrt(x)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_tanh_sinh_stride_subset_is_doubled_rule():
-    h = 1e-3
-    x, w = tanh_sinh_rule(0.0, 3.0, h)
-    x2, w2 = tanh_sinh_rule(0.0, 3.0, 2.0 * h)
-    assert x[::2] == pytest.approx(x2[: x[::2].size], abs=0.0)
-    assert 2.0 * w[::2] == pytest.approx(w2[: x[::2].size], abs=0.0)
-
-
-def test_tanh_sinh_rejects_bad_interval():
-    with pytest.raises(QuadratureError):
-        tanh_sinh_rule(1.0, 1.0, 1e-3)
-    with pytest.raises(QuadratureError):
-        tanh_sinh_rule(0.0, 1.0, -1e-3)
 
 
 def test_exp_sinh_gaussian():
@@ -182,6 +154,6 @@ def test_circle_residue_higher_order_pole():
 def test_circle_sum_first_moment_locates_pole():
     a = -0.7 + 0.4j
     f = lambda z: 1.0 / (z - a)
-    m0 = circle_sum(f, a + 0.05, 0.3)
-    m1 = circle_sum(lambda z: f(z) * z, a + 0.05, 0.3)
+    m0 = circle_residue(f, a + 0.05, 0.3)
+    m1 = circle_residue(lambda z: f(z) * z, a + 0.05, 0.3)
     assert m1 / m0 == pytest.approx(a, abs=1e-12)

@@ -517,6 +517,36 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
     @pytest.mark.parametrize(
+        "source, extra, args, code",
+        [("x" * 5000, {}, [], 2),
+         ("config.json", {}, ["--seed", "-1"], 2),
+         ("config.json", {"seed": -5}, [], 2),
+         ("config.json", {"output": {"golden_dir": 5}}, ["--bless"], 2),
+         ("config.json", {}, ["--out-dir", "config.json"], 1),
+         ("config.json", {}, ["--out-dir", "config.json/out"], 1),
+         ("config.json", {"output": {"golden_dir": "config.json/golden"}},
+          ["--out-dir", ".", "--bless"], 1)],
+        ids=["config_name_too_long", "cli_negative_seed", "config_negative_seed",
+             "golden_dir_number", "out_dir_is_file", "out_dir_under_file",
+             "golden_dir_under_file"],
+    )
+    def test_unusable_paths_and_seeds_exit_with_one_error(self, tmp_path, monkeypatch,
+                                                          source, extra, args, code):
+        # each used to end in a traceback; bad names and seeds are schema
+        # errors, a directory that cannot be created fails the run
+        monkeypatch.chdir(tmp_path)
+        config = {"kind": "single_resonance",
+                  "parameters": {"energy": 1.0, "width": 0.2, "points": 3}, **extra}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        got, err, caught = run_cli(["run", source, "--out-dir", "out", *args])
+        assert (got, caught) == (code, [])
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == ("SchemaError" if code == 2 else "OutputError")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    @pytest.mark.parametrize(
         "pole_im, order, times",
         [(0.001, 2, [0.0, 1.0, 3.0]), (0.8, 1, [1.0, 3.0])],
         ids=["near_axis_pole", "order_one"],

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from resokit import survival
 from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
     RegimeError,
     WindowError,
 )
+from resokit.quadrature import circle_residue
 from resokit.surface import ResonancePole
 from resokit.survival import (
     SpectralDensity,
@@ -95,6 +97,30 @@ class TestAmplitude:
         law = exponential_law(dens, t)
         assert abs(p - law) == pytest.approx(1.0157e-4, rel=5e-3)
         assert abs(p - law) < 0.01
+
+
+class TestPoleResidue:
+    def test_matches_contour_reference(self, dens, dens_thresh, narrow, monkeypatch):
+        def no_circle(*args, **kwargs):
+            raise AssertionError("_pole_residues ran a circle integral")
+
+        monkeypatch.setattr(survival, "circle_residue", no_circle)
+        z0 = narrow.position
+        for d in (dens, dens_thresh):
+            for t in np.linspace(0.0, 50.0 / narrow.width, 41):
+                # a circle small against 1/t keeps e^{-i z t} tame on it
+                radius = 0.5 * min(0.25 * narrow.width, 1.0 / max(t, 1.0))
+                ref = -2j * np.pi * circle_residue(
+                    lambda z: d(z) * np.exp(-1j * z * t), z0, radius)
+                got = survival._pole_residues(d, t)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (d.power, t)
+
+    def test_lorentzian_pole_term_is_the_exponential_law(self, dens, narrow):
+        # -2 pi i N (Gamma / 2 pi) / (-i Gamma) e^{-i z0 t} has modulus N e^{-Gamma t / 2}
+        for t in (0.0, *np.geomspace(1e-3, 1e4, 30)):
+            expected = dens.norm * np.exp(-0.5 * narrow.width * t)
+            got = abs(survival._pole_residues(dens, t))
+            assert got == pytest.approx(expected, rel=1e-13)
 
 
 class TestTail:

@@ -399,9 +399,11 @@ def load_config(source):
     except (OSError, ValueError) as exc:  # a directory, a too long name, bad JSON, a huge int
         raise SchemaError(f"config is not a readable JSON file: {exc}") from exc
     if not exists:
+        # only a plain name can be a built-in: joining a path would look
+        # for a sibling "<path>.json", or outside the catalog entirely
         builtin = _builtin_dir() / f"{source}.json"
         try:
-            exists = builtin.is_file()
+            exists = _is_plain(source) and builtin.is_file()
         except OSError:
             exists = False
         if not exists:
@@ -414,10 +416,15 @@ def load_config(source):
     return data
 
 
+def _is_plain(value):
+    """True for a file name with no directory part."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and Path(value).name == value and "\\" not in value and "\0" not in value)
+
+
 def _plain_name(value, path):
     """A file name with no directory part, so outputs stay in --out-dir."""
-    if (not isinstance(value, str) or value in ("", ".", "..")
-            or Path(value).name != value or "\\" in value or "\0" in value):
+    if not _is_plain(value):
         raise SchemaError(f"expected a plain file name, got {value!r}", path=path)
     return value
 
@@ -450,6 +457,12 @@ def _write_rows(path, columns, rows, fmt):
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
+
+
+def _write_manifest(path, manifest):
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
@@ -503,14 +516,8 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
 
     out_dir = Path(out_dir)
     golden_dir = Path(golden_dir) if golden_dir else out_dir / "golden" / name
-    for directory in (out_dir, golden_dir) if bless else (out_dir,):
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # an existing file, or a path under one
-            raise OutputError(f"cannot create output directory: {exc}") from exc
     data_path = out_dir / f"{stem}.{fmt}"
-    _write_rows(data_path, columns, rows, fmt)
-
+    manifest_path = out_dir / f"{stem}.manifest.json"
     manifest = {
         "schema_version": 1,
         "scenario": name,
@@ -524,17 +531,20 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
         "outputs": [data_path.name],
         "wall_time_s": elapsed,
     }
-    manifest_path = out_dir / f"{stem}.manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
+    # both directories exist before any file is written, so a bad golden
+    # directory leaves no data file behind
+    try:
+        for directory in (out_dir, golden_dir) if bless else (out_dir,):
+            directory.mkdir(parents=True, exist_ok=True)
+        _write_rows(data_path, columns, rows, fmt)
+        _write_manifest(manifest_path, manifest)
+        if bless:
+            (golden_dir / data_path.name).write_bytes(data_path.read_bytes())
+            _write_manifest(golden_dir / manifest_path.name,
+                            {k: v for k, v in manifest.items() if k != "wall_time_s"})
+    except OSError as exc:  # a file or directory in the way, or a path under a file
+        raise OutputError(f"cannot write outputs: {exc}") from exc
     if bless:
-        (golden_dir / data_path.name).write_bytes(data_path.read_bytes())
-        stable = {k: v for k, v in manifest.items() if k != "wall_time_s"}
-        with open(golden_dir / manifest_path.name, "w") as fh:
-            json.dump(stable, fh, indent=1, sort_keys=True)
-            fh.write("\n")
         manifest["golden_dir"] = str(golden_dir)
 
     return manifest

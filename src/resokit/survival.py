@@ -14,11 +14,13 @@ Two independent evaluation methods are provided.  "rotation" closes the
 contour onto the negative imaginary energy axis: the fourth-quadrant
 pole of rho contributes -2 pi i Res[rho(z) e^{-i z t}], taken in closed
 form since rho is rational, and the leg along the axis becomes a real
-Laplace-type endpoint integral
--i integral_0^inf rho(-i u) e^{-u t} du, evaluated after rescaling
-u = s / (t + 1/scale) so the decaying mass stays resolved at late
-times.  "direct" integrates the oscillatory integral with Fourier
-(QAWF) quadrature and serves as the cross-check.
+Laplace-type endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.
+Every density holds one exp-sinh table of rho(-i u_j), built at
+construction, so the leg is the sum -i sum_j w_j rho(-i u_j) e^{-u_j t}
+for every t >= 0; its stride-doubling gap and the mass clipped at both
+ends of the table are checked on each evaluation.  The normalization is
+the same rotation at t = 0.  "direct" integrates the oscillatory
+integral with Fourier (QAWF) quadrature and serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from .errors import (
     ArrowOfTimeError,
     ConfigurationError,
     NormalizationError,
+    QuadratureError,
     RegimeError,
     WindowError,
 )
 # circle_residue is unused here; resobench/tracer.py wraps the benchmark
 # span at this name, and its self-tests require every wrapped site to resolve
 from .quadrature import circle_residue  # noqa: F401
-from .quadrature import complex_quad, decaying_fourier_quad
+from .quadrature import complex_quad, decaying_fourier_quad, exp_sinh_rule
 from .surface import ResonancePole
 
 __all__ = [
@@ -52,14 +55,32 @@ __all__ = [
 ]
 
 
+# The endpoint table, in units of the resonance energy E_R: nodes
+# u_j = E_R x_j of one exp-sinh rule.  The clip puts x_0 near 1.6e-35,
+# so the mass clipped below it stays under 1e-12 of the leg up to
+# E_R t of about 6e22.  At step 2^-9 the rule has m = 2368, a multiple
+# of 32, so every stride-2^k subset (k <= 5) is exactly the rule of
+# step 2^(k-9), and each stride is checked against the next coarser.
+_CLIP = 4.625
+_STEP = 2.0**-9
+_STRIDES = (16, 8, 4, 2, 1)
+_LEG_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Rational density N z^alpha base(z)^power on [0, inf).
 
     base(z) = (Gamma / 2 pi) / ((z - E_R)^2 + Gamma^2 / 4) is the
     Lorentzian of the attached resonance.  alpha >= 0 sets the threshold
-    power, power in {1, 2} the pole order.  The normalization constant
-    is fixed at construction so integral_0^inf rho dE = 1.
+    power, power in {1, 2} the pole order; the density must have finite
+    mass, so alpha < 2 power - 1.  The normalization constant is fixed
+    at construction so integral_0^inf rho dE = 1.
+
+    Construction also stores, outside the dataclass fields, the endpoint
+    table of the rotated contour: nodes u_j, the values rho(-i u_j) / N
+    times their weights, and u |rho(-i u)| / N at the first and last
+    node, from which each evaluation bounds the mass clipped there.
     """
 
     resonance: ResonancePole
@@ -76,14 +97,26 @@ class SpectralDensity:
             raise ConfigurationError("threshold power alpha must be >= 0")
         if power not in (1, 2):
             raise ConfigurationError("pole order power must be 1 or 2")
+        if alpha >= 2 * power - 1:
+            raise ConfigurationError(
+                f"alpha={alpha}, power={power} decays as E^{alpha - 2 * power} "
+                "and has no finite mass; need alpha < 2 power - 1"
+            )
         object.__setattr__(self, "resonance", resonance)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "norm", 1.0)
-        raw, _ = complex_quad(lambda e: self._shape(e).real, 0.0, np.inf)
-        if not raw.real > 0.0:
+        x, w = exp_sinh_rule(_STEP, _CLIP)
+        nodes = resonance.energy * x
+        shape = self._shape(-1j * nodes)
+        table = (nodes, resonance.energy * w * shape, nodes[[0, -1]] * np.abs(shape[[0, -1]]))
+        for arr in table:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_table", table)
+        raw = sum(_rotation(self, 0.0)).real
+        if not raw > 0.0:
             raise NormalizationError("density does not integrate to a positive mass")
-        object.__setattr__(self, "norm", 1.0 / raw.real)
+        object.__setattr__(self, "norm", 1.0 / raw)
 
     @classmethod
     def truncated_lorentzian(cls, resonance):
@@ -116,22 +149,6 @@ class SpectralDensity:
         return -2.0 * (self.alpha + 1.0)
 
 
-def _scale(density):
-    res = density.resonance
-    return max(res.energy, res.width, 1.0)
-
-
-def _endpoint(density, t):
-    """-i integral_0^inf rho(-i u) e^{-u t} du with late-time rescale."""
-    a = t + 1.0 / _scale(density)
-
-    def f(s):
-        return density(-1j * s / a) * np.exp(-s * t / a) / a
-
-    value, _ = complex_quad(f, 0.0, np.inf)
-    return -1j * value
-
-
 def _pole_residues(density, t):
     """-2 pi i residue of rho(z) e^{-i z t} at the fourth-quadrant pole.
 
@@ -149,12 +166,42 @@ def _pole_residues(density, t):
     return -2j * np.pi * res
 
 
+def _rotation(density, t):
+    """Pole term and endpoint leg of the contour rotated at time t.
+
+    The leg -i integral_0^inf rho(-i u) e^{-u t} du is summed on the
+    coarsest stride of the density's table whose stride-doubling gap,
+    plus the mass clipped below its first node and above its last, is
+    within _LEG_TOL of the larger of the two terms.  Below u_0 the
+    clipped mass is at most |rho(-i u_0)| min(u_0, 1/t); above u_N, where
+    rho decays at least as u^-2, at most u_N |rho(-i u_N)| e^{-u_N t}.
+    Raises QuadratureError when even the full table misses the bound.
+    """
+    pole = _pole_residues(density, t)
+    nodes, values, ends = density._table
+    for stride in _STRIDES:
+        with np.errstate(over="ignore"):  # u t past the double range: e^{-u t} = 0
+            terms = values[::stride] * np.exp(-nodes[::stride] * t)
+            clipped = ends[0] / max(1.0, nodes[0] * t) + ends[1] * np.exp(-nodes[-1] * t)
+        fine = stride * terms.sum()
+        gap = abs(fine - 2.0 * stride * terms[::2].sum())
+        leg = complex(-1j * density.norm * fine)
+        scale = max(abs(pole), abs(leg))
+        if density.norm * (gap + clipped) <= _LEG_TOL * scale:
+            return pole, leg
+    raise QuadratureError(
+        f"survival endpoint table unresolved at t = {t:g}: stride gap "
+        f"{density.norm * gap:.3e} and clipped mass {density.norm * clipped:.3e} "
+        f"against amplitude scale {scale:.3e}"
+    )
+
+
 def survival_amplitude(density, t, method="rotation"):
     """A(t) for t >= 0 by contour rotation or direct Fourier quadrature."""
     if t < 0.0:
         raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
     if method == "rotation":
-        return complex(_pole_residues(density, t) + _endpoint(density, t))
+        return complex(sum(_rotation(density, t)))
     if method == "direct":
         if t == 0.0:
             value, _ = complex_quad(lambda e: density(e), 0.0, np.inf)
@@ -193,12 +240,11 @@ def deviation_onset(density, threshold=0.01, t_grid=None, refine=True):
         raise ArrowOfTimeError("onset scan needs t >= 0")
 
     def deviation(t):
-        pole_term = _pole_residues(density, t)
-        full = pole_term + _endpoint(density, t)
+        pole_term, leg = _rotation(density, t)
         ref = abs(pole_term) ** 2
         if ref == 0.0:
             return np.inf
-        return abs(abs(full) ** 2 / ref - 1.0)
+        return abs(abs(pole_term + leg) ** 2 / ref - 1.0)
 
     # The deviation is not monotone: it can start above threshold while
     # the endpoint term is still comparable to the pole term, dip through

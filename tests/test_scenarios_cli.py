@@ -546,6 +546,42 @@ class TestCli:
         assert error["type"] == ("SchemaError" if code == 2 else "OutputError")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
+    def test_missing_path_is_not_a_builtin(self, tmp_path):
+        # the built-in lookup used to join "<path>.json" onto the catalog,
+        # and an absolute path replaced the catalog: x.json.json ran
+        config = {"kind": "single_resonance",
+                  "parameters": {"energy": 1.0, "width": 0.2, "points": 3}}
+        (tmp_path / "x.json.json").write_text(json.dumps(config))
+        got, err, caught = run_cli(["run", str(tmp_path / "x.json"),
+                                    "--out-dir", str(tmp_path / "out")])
+        assert (got, caught) == (2, [])
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["type"] == "SchemaError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "blocked, args",
+        [("out/single_resonance.csv", []),
+         ("out/single_resonance.manifest.json", []),
+         ("gold/single_resonance.csv", ["--bless"]),
+         ("gold/single_resonance.manifest.json", ["--bless"])],
+        ids=["data", "manifest", "golden_data", "golden_manifest"],
+    )
+    def test_unwritable_output_file_exits_1(self, tmp_path, monkeypatch, blocked, args):
+        # a directory where an output file goes used to end in an
+        # IsADirectoryError traceback
+        monkeypatch.chdir(tmp_path)
+        config = {"kind": "single_resonance", "output": {"golden_dir": "gold"},
+                  "parameters": {"energy": 1.0, "width": 0.2, "points": 3}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / blocked).mkdir(parents=True)
+        got, err, caught = run_cli(["run", "config.json", "--out-dir", "out", *args])
+        assert (got, caught) == (1, [])
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["type"] == "OutputError"
+
     @pytest.mark.parametrize(
         "pole_im, order, times",
         [(0.001, 2, [0.0, 1.0, 3.0]), (0.8, 1, [1.0, 3.0])],

@@ -1,11 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from resokit import survival
+from resokit.cli import main
 from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
+    QuadratureError,
     RegimeError,
     WindowError,
 )
@@ -37,6 +42,10 @@ def dens_thresh(narrow):
     return SpectralDensity.threshold_weighted(narrow)
 
 
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature ran where none should")
+
+
 class TestDensity:
     def test_unit_mass(self, dens, dens_thresh):
         for d in (dens, dens_thresh):
@@ -64,6 +73,15 @@ class TestDensity:
             SpectralDensity(narrow, power=3)
         with pytest.raises(ConfigurationError):
             SpectralDensity("pole")
+
+    @pytest.mark.parametrize("alpha, power", [(1, 1), (2, 1), (3, 2), (4, 2)])
+    def test_refuses_shapes_without_finite_mass(self, narrow, monkeypatch, alpha, power):
+        # E^alpha base^power ~ E^(alpha - 2 power) at large E: no finite mass
+        # for alpha >= 2 power - 1, refused before any quadrature runs
+        monkeypatch.setattr(survival, "complex_quad", _no_quadrature)
+        monkeypatch.setattr(survival, "exp_sinh_rule", _no_quadrature)
+        with pytest.raises(ConfigurationError, match="no finite mass"):
+            SpectralDensity(narrow, alpha=alpha, power=power)
 
 
 class TestAmplitude:
@@ -121,6 +139,110 @@ class TestPoleResidue:
             expected = dens.norm * np.exp(-0.5 * narrow.width * t)
             got = abs(survival._pole_residues(dens, t))
             assert got == pytest.approx(expected, rel=1e-13)
+
+
+# A(t) at t = lifetimes / 0.05 for energy 1, width 0.05, from the partial
+# fractions of N z^alpha base^power in exponential integrals (mpmath, 50
+# digits), each checked against -2 pi i Res plus the rotated endpoint leg
+# integrated by mpmath to 1e-30; CHANGES.md holds the script.
+REFERENCE = {
+    (0, 1): (
+        (0.0, (1+0j)),
+        (0.2, (-0.5968515785202025+0.6886818053146745j)),
+        (1.0, (0.2494603835784629-0.5585652338321271j)),
+        (3.0, (-0.21422082184636546+0.06842450733608879j)),
+        (10.0, (0.0033085707475935745+0.005891345043520279j)),
+        (20.0, (-2.4139815602635722e-05+1.8900858814118005e-05j)),
+        (30.0, (-3.5256163962399974e-07-1.3374330091761592e-05j)),
+        (100.0, (-4.0057629551280005e-09-4.0082725555693034e-06j)),
+        (300.0, (-4.450859574553138e-10-1.3360926307083033e-06j)),
+        (708.0, (-7.991347295163182e-11-5.66141022517982e-07j)),
+    ),
+    (1, 2): (
+        (0.0, (1+0j)),
+        (0.2, (-0.6488723811512164+0.754739184733399j)),
+        (1.0, (0.3643491817297336-0.8336864660287905j)),
+        (3.0, (-0.5287288120000851+0.17800001440802263j)),
+        (10.0, (0.020431363151990938+0.03489499700727352j)),
+        (20.0, (-0.0002526743092035844+0.0004309098621108826j)),
+        (30.0, (-4.894745404311355e-06-1.0164632925294904e-07j)),
+        (100.0, (-2.483649086916301e-12+9.92838206574174e-15j)),
+        (300.0, (-2.7596468364028403e-13+3.677230847457721e-16j)),
+        (708.0, (-4.954845239912683e-14+2.797599093946509e-17j)),
+    ),
+}
+
+
+def _khalfin(tmp_path, width, lifetimes_max):
+    config = tmp_path / "khalfin.json"
+    config.write_text(json.dumps({"kind": "khalfin", "parameters": {
+        "energy": 1.0, "width": width, "lifetimes_max": lifetimes_max, "points": 60}}))
+    return config, tmp_path / "out"
+
+
+class TestEndpointTable:
+    @pytest.mark.parametrize("shape", sorted(REFERENCE))
+    def test_matches_high_precision_reference(self, narrow, shape):
+        d = SpectralDensity(narrow, *shape)
+        for lifetimes, ref in REFERENCE[shape]:
+            got = survival_amplitude(d, lifetimes / narrow.width)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (lifetimes, got, ref)
+
+    def test_rotation_makes_no_quadpack_call(self, narrow, monkeypatch):
+        monkeypatch.setattr(survival, "complex_quad", _no_quadrature)
+        monkeypatch.setattr(survival, "decaying_fourier_quad", _no_quadrature)
+        d = SpectralDensity.truncated_lorentzian(narrow)
+        assert survival_probability(d, 5.0 / narrow.width) > 0.0
+        assert deviation_onset(d) * narrow.width == pytest.approx(10.4113, rel=5e-3)
+        assert tail_exponent(d) == pytest.approx(-2.0, abs=1e-3)
+
+    def test_table_is_built_once(self, narrow, monkeypatch):
+        points = []
+        shape = SpectralDensity._shape
+
+        def counted(self, z):
+            points.append(np.size(z))
+            return shape(self, z)
+
+        monkeypatch.setattr(SpectralDensity, "_shape", counted)
+        d = SpectralDensity.truncated_lorentzian(narrow)
+        assert len(points) == 1 and points[0] == d._table[0].size
+        for t in np.geomspace(0.2 / narrow.width, 30.0 / narrow.width, 60):
+            survival_probability(d, t)
+        deviation_onset(d)
+        tail_exponent(d)
+        assert len(points) == 1
+        # the table stays outside the dataclass fields
+        twin = SpectralDensity.truncated_lorentzian(narrow)
+        assert d == twin and hash(d) == hash(twin)
+        assert "_table" not in repr(d)
+
+    def test_narrow_line(self, tmp_path):
+        # QUADPACK put this mass at 1.1e-10 (norm 9.0e9, probabilities 6.6e19)
+        pole = ResonancePole(energy=1.0, width=1e-12)
+        exact = 1.0 / (0.5 + math.atan(2.0 * pole.energy / pole.width) / math.pi)
+        assert SpectralDensity.truncated_lorentzian(pole).norm == pytest.approx(
+            exact, rel=1e-14, abs=0.0)
+        config, out = _khalfin(tmp_path, pole.width, 30.0)
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        lines = (out / "khalfin.csv").read_text().splitlines()[1:]
+        probabilities = [float(line.split(",")[1]) for line in lines]
+        assert len(probabilities) == 60
+        assert all(0.0 <= p <= 1.0 for p in probabilities)
+
+    def test_too_narrow_for_the_table(self, tmp_path, capsys):
+        # at 708 lifetimes of a 1e-30 line the leg's mass sits below the
+        # table's first node, where no stride can resolve it
+        pole = ResonancePole(energy=1.0, width=1e-30)
+        d = SpectralDensity.truncated_lorentzian(pole)
+        with pytest.raises(QuadratureError, match="clipped mass"):
+            survival_amplitude(d, 708.0 / pole.width)
+        config, out = _khalfin(tmp_path, pole.width, 708.0)
+        assert main(["run", str(config), "--out-dir", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "QuadratureError"
+        assert not out.exists()
 
 
 class TestTail:

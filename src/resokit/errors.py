@@ -44,10 +44,6 @@ class ArrowOfTimeError(ResokitError, ValueError):
     """Forward-only evolution invoked with a negative or misordered time."""
 
 
-class IntegrabilityError(ResokitError, ValueError):
-    """Integrand decays too slowly for the requested integral."""
-
-
 class GeometryError(ResokitError, ValueError):
     """Contour or pole layout violates the deformation geometry."""
 

@@ -18,10 +18,10 @@ for forward times, which is how the semigroup arrow enters.
 
 The background is evaluated on its steepest-descent line u = e^{i pi/4} s
 (momentum k = e^{-i pi/4} s), where the oscillation e^{i u^2 t} becomes
-the decay e^{-s^2 t}.  One exp-sinh table on that line is shared by
-all t >= 0, so its size does not depend on the evaluation horizon;
-every background evaluation is verified against the embedded
-step-doubled rule.
+the decay e^{-s^2 t}.  One exp-sinh table on that line, refined by
+`quadrature.exp_sinh_table` at t = 0, is shared by all t >= 0, so its
+size does not depend on the evaluation horizon; every background
+evaluation is verified against the embedded step-doubled rule.
 
 Pole coefficients are residues taken in closed form: S has simple
 poles whose residues `blaschke_residue` gives exactly, and the wave
@@ -47,7 +47,7 @@ from .hardy import HalfPlane, HardyFunction
 # names, and its self-tests require every wrapped site to resolve
 from .hardy import paley_wiener_check  # noqa: F401
 from .quadrature import circle_residue  # noqa: F401
-from .quadrature import complex_quad, exp_sinh_rule, oscillatory_quad
+from .quadrature import complex_quad, exp_sinh_table, oscillatory_quad
 from .surface import SMatrixModel, blaschke_residue
 
 __all__ = [
@@ -149,7 +149,7 @@ def smatrix_pairing_direct(psi, state, model, t, tail_tol=1e-9):
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("smatrix_pairing_direct needs an SMatrixModel")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"the pairing evolves forward only, got t = {t}")
     dag, wave = _require_pair(psi, state)
     cut, _, _ = _direct_cutoff(dag, wave, tail_tol)
@@ -188,7 +188,7 @@ class ResonanceExpansion:
 
     def pole_sum(self, t):
         """Sum of resonance terms b_i e^{-i z_i t}, t >= 0."""
-        if t < 0.0:
+        if not t >= 0.0:
             raise ArrowOfTimeError(f"expansion terms evolve forward only, got t = {t}")
         return complex(
             sum(
@@ -199,7 +199,7 @@ class ResonanceExpansion:
 
     def background_with_error(self, t):
         """Background integral at time t and its stride-doubling error."""
-        if t < 0.0:
+        if not t >= 0.0:
             raise ArrowOfTimeError(f"the background evolves forward only, got t = {t}")
         contrib = self.ray_weights * self.ray_values * np.exp(-self.ray_nodes**2 * t)
         full = complex(np.sum(contrib))
@@ -230,18 +230,17 @@ class ResonanceExpansion:
 
 # u = e^{i pi/4} s turns e^{i u^2 t} into e^{-s^2 t}
 _LINE = np.exp(0.25j * np.pi)
-_LINE_STEP = 0.1
-_LINE_HALVINGS = 8
 
 
-def expand(psi, state, model, ray_tail_tol=1e-10):
+def expand(psi, state, model):
     """Deform the evolved pairing into pole terms plus a background table.
 
     Each pole coefficient is -2 pi i times the residue of the momentum
     integrand 2k conj(psi)(k^2) S(k) phi(k^2) at the pole k_i, in closed
-    form from `blaschke_residue`.  The background table is one exp-sinh
-    rule on the steepest-descent line k = e^{-i pi/4} s, shared by all
-    t >= 0; no parameter depends on the evaluation horizon.  Rotating
+    form from `blaschke_residue`.  The background table is the converged
+    `exp_sinh_table` of the integrand on the steepest-descent line
+    k = e^{-i pi/4} s at t = 0, where it decays slowest, and is shared by
+    all t >= 0; no parameter depends on the evaluation horizon.  Rotating
     the exit ray k = -i u onto that line sweeps the momentum sector
     arg k in (-pi/2, -pi/4), which holds no singularity of the
     integrand: `ResonancePole` requires width < 2 energy, so every
@@ -259,16 +258,10 @@ def expand(psi, state, model, ray_tail_tol=1e-10):
     psi, state : HardyFunction (UPPER), PreparedState
         Registration-side and preparation-side functions.
     model : SMatrixModel
-    ray_tail_tol : float
-        Absolute bound on the stride-doubling estimate of the line
-        integral at t = 0, where the integrand decays slowest.  The
-        exp-sinh step starts at 0.1 and is halved until the bound holds.
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("expand needs an SMatrixModel")
     dag, wave = _require_pair(psi, state)
-    if not ray_tail_tol > 0.0:
-        raise ConfigurationError("ray_tail_tol must be positive")
 
     coeffs = tuple(
         complex(-2j * np.pi * 2.0 * pole.momentum * dag(pole.position)
@@ -282,21 +275,7 @@ def expand(psi, state, model, ray_tail_tol=1e-10):
         e = -(u * u)
         return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
 
-    step = _LINE_STEP
-    for _ in range(_LINE_HALVINGS + 1):
-        ray_s, ray_w = exp_sinh_rule(step)
-        ray_vals = line_values(ray_s)
-        contrib = ray_w * ray_vals
-        est = abs(np.sum(contrib) - 2.0 * np.sum(contrib[::2]))
-        if est < ray_tail_tol:
-            break
-        step *= 0.5
-    else:
-        raise QuadratureError(
-            f"background line did not reach ray_tail_tol={ray_tail_tol:g} "
-            f"(stride check {est:.3e} at step {2.0 * step:g})"
-        )
-
+    ray_s, ray_w, ray_vals, _ = exp_sinh_table(line_values)
     return ResonanceExpansion(
         model=model,
         psi=psi,
@@ -313,7 +292,7 @@ def background_profile(expansion, times):
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ConfigurationError("need a one-dimensional, nonempty time grid")
-    if np.any(ts < 0.0):
+    if not np.all(ts >= 0.0):
         raise ArrowOfTimeError("background profile needs t >= 0")
     if np.any(np.diff(ts) <= 0.0):
         raise ConfigurationError("time grid must be strictly increasing")
@@ -361,7 +340,7 @@ def truncated_evolve(matrix, coefficients, t):
     """
     if not isinstance(matrix, EffectiveMatrix):
         raise ConfigurationError("truncated_evolve needs an EffectiveMatrix")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"truncated evolution is forward only, got t = {t}")
     coeff = np.asarray(coefficients, dtype=complex)
     if coeff.shape != (matrix.size,):

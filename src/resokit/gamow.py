@@ -27,7 +27,6 @@ from .errors import (
     ArrowOfTimeError,
     ConfigurationError,
     HardyClassError,
-    IntegrabilityError,
 )
 from .hardy import HalfPlane, HardyFunction
 from .quadrature import complex_quad_full_line
@@ -68,13 +67,13 @@ class GamowKet:
 
     def evolution_coefficient(self, t):
         """e^{-i z t} for t >= 0; the arrow of time forbids t < 0."""
-        if t < 0.0:
+        if not t >= 0.0:
             raise ArrowOfTimeError(f"Gamow evolution is a semigroup, got t = {t}")
         return complex(np.exp(-1j * self.eigenvalue * t))
 
     def mirror_coefficient(self, t):
         """Conjugate-mirror (growing) coefficient, domain t <= 0."""
-        if t > 0.0:
+        if not t <= 0.0:
             raise ArrowOfTimeError(
                 f"the mirror ket evolves toward the past only, got t = {t}"
             )
@@ -113,16 +112,14 @@ def pairing(psi, ket, method="cauchy"):
     raise ConfigurationError(f"unknown pairing method {method!r}")
 
 
-def energy_weighted_pairing(psi, ket, contour_fallback=True):
+def energy_weighted_pairing(psi, ket):
     """integral conj(psi(E)) E amp(E) dE.
 
     Absolutely convergent whenever psi decays at least like E^-2, and
     then computed by direct quadrature.  For decay order 1 the integrand
-    falls like 1/E and only a principal value exists; with
-    contour_fallback the slow part is removed analytically
-    (E amp = scale * i ... amp's numerator splits off a constant) and
-    the leftover moment is taken by contour closure.  Without the
-    fallback this raises IntegrabilityError.
+    falls like 1/E and only a principal value exists; the slow part is
+    then removed analytically (E amp = scale + z amp splits off a
+    constant) and the leftover moment is taken by contour closure.
     """
     _require_upper(psi)
     dag = psi.conjugated()
@@ -131,11 +128,6 @@ def energy_weighted_pairing(psi, ket, contour_fallback=True):
             lambda e: dag(e) * e * ket.amplitude(e)
         )
         return value
-    if not contour_fallback:
-        raise IntegrabilityError(
-            "E-weighted pairing of a decay-order-1 function is only a "
-            "principal value; enable contour_fallback to take it"
-        )
     # E amp(E) = scale + z amp(E) exactly; the constant part integrates
     # against psi-dagger to its principal-value line moment.
     regular, _ = complex_quad_full_line(
@@ -144,7 +136,7 @@ def energy_weighted_pairing(psi, ket, contour_fallback=True):
     return ket.amplitude_scale * dag.line_moment() + regular
 
 
-def eigen_pairing_check(psi, ket, contour_fallback=True):
+def eigen_pairing_check(psi, ket):
     """Relative residual of the eigenvalue relation.
 
     Compares the energy-weighted pairing against eigenvalue * pairing
@@ -154,7 +146,7 @@ def eigen_pairing_check(psi, ket, contour_fallback=True):
     """
     base = pairing(psi, ket, method="cauchy")
     target = ket.eigenvalue * base
-    weighted = energy_weighted_pairing(psi, ket, contour_fallback=contour_fallback)
+    weighted = energy_weighted_pairing(psi, ket)
     scale = max(abs(target), 1e-300)
     return float(abs(weighted - target) / scale)
 

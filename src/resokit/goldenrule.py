@@ -202,7 +202,7 @@ def _channel_integral(config, channel, weighted=False):
             out = out * config.detector.efficiency(channel.label, e)
         return out
 
-    value, _ = integrate_exp_sinh(f, tol=1e-12)
+    value, _ = integrate_exp_sinh(f)
     return float(value)
 
 
@@ -250,7 +250,7 @@ def _require_normalized(config):
 def decay_probability(config, t):
     """P(t) = R (1 - e^{-Gamma t}) for t >= 0."""
     _require_normalized(config)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"decay probability is defined for t >= 0, got {t}")
     g = config.resonance.width
     return registered_fraction(config) * (1.0 - math.exp(-g * t))
@@ -259,7 +259,7 @@ def decay_probability(config, t):
 def decay_rate(config, t):
     """dP/dt = R Gamma e^{-Gamma t} for t >= 0."""
     _require_normalized(config)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"decay rate is defined for t >= 0, got {t}")
     g = config.resonance.width
     return registered_fraction(config) * g * math.exp(-g * t)
@@ -268,7 +268,7 @@ def decay_rate(config, t):
 def partial_rate(config, label, t):
     """Channel share of the rate at time t (detector weighted)."""
     _require_normalized(config)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"partial rate is defined for t >= 0, got {t}")
     c = config.channel(label)
     g = config.resonance.width
@@ -312,6 +312,6 @@ def bw_delta_limit_check(energy, widths, test_fn):
         def f(e):
             return np.asarray(test_fn(e), dtype=float) * breit_wigner_density(res, e)
 
-        value, _ = integrate_exp_sinh(f, tol=1e-12)
+        value, _ = integrate_exp_sinh(f)
         errors.append(abs(float(value) - float(test_fn(energy))))
     return errors

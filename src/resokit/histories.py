@@ -127,7 +127,7 @@ def _propagator(h, t):
 
 def unitary_evolve(rho, hamiltonian, t):
     """e^{-iHt} rho e^{iHt} for t >= 0 (forward arrow as everywhere)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"evolution is forward only, got t = {t}")
     rho = validate_density(rho)
     h = _require_hermitian(hamiltonian)
@@ -137,7 +137,7 @@ def unitary_evolve(rho, hamiltonian, t):
 
 def heisenberg_projector(p, hamiltonian, t):
     """P(t) = e^{iHt} P e^{-iHt} for t >= 0."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"Heisenberg projectors need t >= 0, got {t}")
     p = validate_projector(p)
     h = _require_hermitian(hamiltonian)
@@ -190,7 +190,7 @@ class History:
         last_t = 0.0
         for p, t in self.steps:
             t = float(t)
-            if t <= last_t:
+            if not t > last_t:
                 raise ArrowOfTimeError(
                     f"history times must be strictly increasing and positive, "
                     f"got {t} after {last_t}"
@@ -219,7 +219,7 @@ def two_level_survival(coefficients, matrix, projector_weights, t):
     |sum_i w_i b_i e^{-i z_i t}|^2 for effective eigenvalues z_i; the
     kaon-style interference formula of the diagonal effective theory.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"effective evolution is forward only, got t = {t}")
     b = np.asarray(coefficients, dtype=complex)
     w = np.asarray(projector_weights, dtype=complex)

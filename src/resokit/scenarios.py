@@ -54,7 +54,6 @@ _Field = namedtuple("_Field", "name type default gt ge le",
 _ENERGY = _Field("energy", "number", gt=0.0)
 _WIDTH = _Field("width", "number", gt=0.0)
 _TOLERANCES = (
-    _Field("ray_tail", "number", 1e-10, gt=0.0),
     _Field("direct_tail", "number", 1e-9, gt=0.0),
 )
 _EXPANSION = (
@@ -232,15 +231,14 @@ def _expansion_check(p, lifetimes):
     direct, reconstructed, relative error) per time, the largest
     relative error and the largest direct-pairing error bound.
     """
-    tols = p.tolerances
     model = SMatrixModel(poles=p.resonances)
     state = xp.PreparedState(p.state)
-    exp = xp.expand(p.dual, state, model, ray_tail_tol=tols["ray_tail"])
+    exp = xp.expand(p.dual, state, model)
     checks = []
     bound = 0.0
     for t in (n / _narrowest(p) for n in lifetimes):
         pairing = xp.smatrix_pairing_direct(p.dual, state, model, t,
-                                            tail_tol=tols["direct_tail"])
+                                            tail_tol=p.tolerances["direct_tail"])
         direct = pairing.value
         rec = exp.reconstruct(t)
         checks.append((t, direct, rec, abs(direct - rec) / abs(direct)))

@@ -198,7 +198,7 @@ def _rotation(density, t):
 
 def survival_amplitude(density, t, method="rotation"):
     """A(t) for t >= 0 by contour rotation or direct Fourier quadrature."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
     if method == "rotation":
         return complex(sum(_rotation(density, t)))
@@ -218,12 +218,12 @@ def survival_probability(density, t, method="rotation"):
 
 def exponential_law(density, t):
     """The pure pole law e^{-Gamma t} the amplitude is compared against."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ArrowOfTimeError(f"the exponential law applies for t >= 0, got {t}")
     return math.exp(-density.resonance.width * t)
 
 
-def deviation_onset(density, threshold=0.01, t_grid=None, refine=True):
+def deviation_onset(density, threshold=0.01, t_grid=None):
     """Earliest time the pole-normalized deviation exceeds threshold.
 
     The deviation compares |A(t)|^2 against its own exponential-era
@@ -236,7 +236,7 @@ def deviation_onset(density, threshold=0.01, t_grid=None, refine=True):
     if t_grid is None:
         t_grid = np.geomspace(0.2 / g, 400.0 / g, 160)
     ts = np.asarray(t_grid, dtype=float)
-    if np.any(ts < 0.0):
+    if not np.all(ts >= 0.0):
         raise ArrowOfTimeError("onset scan needs t >= 0")
 
     def deviation(t):
@@ -252,17 +252,14 @@ def deviation_onset(density, threshold=0.01, t_grid=None, refine=True):
     # crossing after the era of agreement, so a below-threshold sample
     # must be seen first.
     scanned = []
-    seen_below = False
-    prev_t = None
+    below = None  # the latest sample under threshold
     for t in ts:
         d = deviation(t)
         scanned.append((float(t), float(d)))
         if d < threshold:
-            seen_below = True
-        elif seen_below:
-            if not refine or prev_t is None:
-                return float(t)
-            lo, hi = prev_t, t
+            below = t
+        elif below is not None:
+            lo, hi = below, t
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
                 if deviation(mid) >= threshold:
@@ -272,10 +269,9 @@ def deviation_onset(density, threshold=0.01, t_grid=None, refine=True):
                 if hi - lo <= 1e-3 * hi:
                     break
             return float(hi)
-        prev_t = t
     message = (
         f"deviation never reached {threshold:g} after the exponential era"
-        if seen_below
+        if below is not None
         else "the scan never entered the exponential era; widen the grid"
     )
     raise WindowError(message, partial=scanned)

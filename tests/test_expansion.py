@@ -291,17 +291,6 @@ class TestExpansion:
         with pytest.raises(TypeError):
             expand(psi, state, model, t_max=16.0)
 
-    def test_bad_ray_tail_tol(self, psi, state, model):
-        with pytest.raises(ConfigurationError):
-            expand(psi, state, model, ray_tail_tol=0.0)
-
-    def test_unresolved_line_raises(self, psi, state, model, monkeypatch):
-        # the step-0.1 table misses 1e-8 at t = 0; with no halvings left
-        # the build must fail instead of returning it
-        monkeypatch.setattr(expansion, "_LINE_HALVINGS", 0)
-        with pytest.raises(QuadratureError):
-            expand(psi, state, model, ray_tail_tol=1e-8)
-
     def test_class_checks(self, psi, phi, state, model):
         with pytest.raises(HardyClassError):
             expand(phi, state, model)

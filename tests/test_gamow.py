@@ -5,7 +5,6 @@ from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
     HardyClassError,
-    IntegrabilityError,
 )
 from resokit.gamow import (
     GamowKet,
@@ -100,10 +99,6 @@ class TestPairing:
 class TestEigenvalueRelation:
     def test_square_integrable_residual_is_noise(self, psi, ket):
         assert eigen_pairing_check(psi, ket) < 1e-7
-
-    def test_order_one_needs_fallback(self, psi_order1, ket):
-        with pytest.raises(IntegrabilityError):
-            energy_weighted_pairing(psi_order1, ket, contour_fallback=False)
 
     def test_order_one_residual_is_the_moment_term(self, psi_order1, ket):
         # the eigenvalue relation fails by exactly the principal-value

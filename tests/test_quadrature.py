@@ -9,6 +9,7 @@ from resokit.quadrature import (
     complex_quad_full_line,
     decaying_fourier_quad,
     exp_sinh_rule,
+    exp_sinh_table,
     integrate_exp_sinh,
     oscillatory_quad,
 )
@@ -45,7 +46,56 @@ def test_integrate_exp_sinh_reports_failure():
         return rng.normal(size=x.shape)
 
     with pytest.raises(QuadratureError):
-        integrate_exp_sinh(noisy, max_halvings=2)
+        integrate_exp_sinh(noisy)
+
+
+def test_ladder_levels_nest_bit_for_bit():
+    # level k (step 2^-(3+k), clip 3.75) is the even-index subset of
+    # level k+1 with doubled weights, exactly, so refining reuses values
+    for level in range(13):
+        x, w = exp_sinh_rule(2.0 ** -(3 + level), 3.75)
+        xf, wf = exp_sinh_rule(2.0 ** -(4 + level), 3.75)
+        assert x.size == 60 * 2**level + 1
+        np.testing.assert_array_equal(xf[::2], x)
+        np.testing.assert_array_equal(2.0 * wf[::2], w)
+
+
+def _channel(ratio, energy=2.0, cutoff=1.0):
+    """The golden_rule_sweep channel integrand at width = ratio * energy."""
+    g = ratio * energy
+
+    def f(e):
+        lorentzian = (g / (2.0 * np.pi)) / ((e - energy) ** 2 + 0.25 * g * g)
+        return e / (e / cutoff + 1.0) ** 4 * lorentzian
+
+    return f
+
+
+def test_each_node_evaluated_once():
+    f = _Counting(_channel(0.001))
+    x, w, v, gap = exp_sinh_table(f)
+    seen = np.concatenate(f.calls)
+    assert seen.size == x.size == 245_761
+    assert np.unique(seen).size == seen.size
+    np.testing.assert_array_equal(np.sort(seen), x)
+    assert gap <= 1e-12 * (1.0 + abs(np.sum(w * v)))
+
+
+# 30-digit mpmath values of the golden_rule_sweep channel integral at
+# energy 2 and cutoff 1; the script that produced them is in CHANGES.md
+_CHANNEL_REFERENCE = {
+    0.1: 0.02523520535187803017947096,
+    0.01: 0.0247553106516515468202742,
+    0.001: 0.02469785175673573774184871,
+}
+
+
+@pytest.mark.parametrize("ratio", sorted(_CHANNEL_REFERENCE))
+def test_narrow_lorentzian_channel_against_mpmath(ratio):
+    value, err = integrate_exp_sinh(_channel(ratio))
+    want = _CHANNEL_REFERENCE[ratio]
+    assert abs(value - want) <= 3e-14 * want
+    assert err <= 1e-12 * (1.0 + value)
 
 
 def test_complex_quad_matches_parts():

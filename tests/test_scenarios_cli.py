@@ -169,7 +169,7 @@ class TestSchemaValidation:
         cfg = load_config("contour_check")
         cfg["parameters"]["tolerances"] = [1e-10]
         with pytest.raises(SchemaError):
-            run_scenario(cfg, out_dir=tmp_path, tol_overrides={"ray_tail": 1e-9})
+            run_scenario(cfg, out_dir=tmp_path, tol_overrides={"direct_tail": 1e-9})
 
     @pytest.mark.parametrize(
         "base, key, value",
@@ -336,7 +336,7 @@ class TestDeterminism:
         tweaked = run_scenario(
             load_config("contour_check"),
             out_dir=tmp_path / "tweaked",
-            tol_overrides={"ray_tail": 1e-8},
+            tol_overrides={"direct_tail": 1e-8},
         )
         assert tweaked["config_sha256"] != base["config_sha256"]
         assert tweaked["achieved"]["deformation_max_rel_err"] < 1e-5
@@ -397,7 +397,7 @@ class TestCli:
     def test_malformed_override_exits_2(self, tmp_path, capsys):
         code = main(
             ["run", "single_resonance", "--out-dir", str(tmp_path),
-             "--tol-override", "ray_tail"]
+             "--tol-override", "direct_tail"]
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -422,6 +422,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SchemaError"
         assert key in err["error"]["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+    def test_ray_tail_tolerance_is_unknown(self, tmp_path, capsys):
+        # the background line table refines itself; no tolerance sets it
+        cfg = load_config("contour_check")
+        cfg["parameters"]["tolerances"] = {"ray_tail": 1e-10}
+        assert self._run_config(tmp_path, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"].startswith("parameters.tolerances.ray_tail: ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
     @pytest.mark.parametrize(
@@ -638,7 +648,7 @@ _VALUES = {
                                             optional={"zzz": _NUMBERS}), max_size=3),
     "wave": st.fixed_dictionaries({"half_plane": st.sampled_from(["upper", "lower", "x"]),
                                    "terms": _TERMS}),
-    "tolerances": st.dictionaries(st.sampled_from(["ray_tail", "direct_tail", "zzz"]),
+    "tolerances": st.dictionaries(st.sampled_from(["direct_tail", "zzz"]),
                                   _NUMBERS, max_size=2),
 }
 
@@ -659,7 +669,7 @@ def mutated_configs(draw, kind):
             params[key] = draw(_WRONG if action == "wrong" else _VALUES[fields[key]])
     if draw(st.integers(0, 9)) == 7:
         params["bogus"] = 1.0
-    override = {8: ["--tol-override", "ray_tail=1e-9"], 9: ["--tol-override", "bogus=1"]}
+    override = {8: ["--tol-override", "direct_tail=1e-9"], 9: ["--tol-override", "bogus=1"]}
     return cfg, override.get(draw(st.integers(0, 9)), [])
 
 

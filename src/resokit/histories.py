@@ -43,15 +43,29 @@ __all__ = [
 _ATOL = 1e-12
 
 
+def _square(m, what):
+    """m as a complex array, refused unless square, nonempty and finite."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ConfigurationError(f"{what} must be a nonempty square matrix")
+    if not np.isfinite(m).all():
+        raise ConfigurationError(f"{what} must be finite")
+    return m
+
+
+def _close(a, b, atol):
+    """Every entry of a within atol of b; NaN is never close."""
+    return np.abs(a - b).max() <= atol
+
+
 def validate_density(rho):
     """Hermitian, unit trace, positive semidefinite (within 1e-12)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigurationError("a density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=_ATOL, rtol=0.0):
+    rho = _square(rho, "a density matrix")
+    if not _close(rho, rho.conj().T, _ATOL):
         raise ConfigurationError("density matrix is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > _ATOL:
-        raise ConfigurationError(f"density trace must be 1, got {np.trace(rho)}")
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > _ATOL:
+        raise ConfigurationError(f"density trace must be 1, got {trace}")
     w = np.linalg.eigvalsh(rho)
     if np.min(w) < -1e-10:
         raise ConfigurationError(f"density matrix has eigenvalue {np.min(w):.3e} < 0")
@@ -60,12 +74,10 @@ def validate_density(rho):
 
 def validate_projector(p):
     """Hermitian idempotent (within 1e-12)."""
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ConfigurationError("a projector must be square")
-    if not np.allclose(p, p.conj().T, atol=_ATOL, rtol=0.0):
+    p = _square(p, "a projector")
+    if not _close(p, p.conj().T, _ATOL):
         raise ConfigurationError("projector is not hermitian")
-    if not np.allclose(p @ p, p, atol=1e-10, rtol=0.0):
+    if not _close(p @ p, p, 1e-10):
         raise ConfigurationError("projector is not idempotent")
     return p
 
@@ -82,9 +94,9 @@ def validate_projector_family(projectors, dim=None):
         if a.shape[0] != n:
             raise ConfigurationError("projector dimensions differ")
         for b in ps[i + 1:]:
-            if not np.allclose(a @ b, 0.0, atol=1e-10, rtol=0.0):
+            if not _close(a @ b, 0.0, 1e-10):
                 raise ConfigurationError("projectors are not mutually orthogonal")
-    if not np.allclose(sum(ps), np.eye(n), atol=1e-10, rtol=0.0):
+    if not _close(sum(ps), np.eye(n), 1e-10):
         raise ConfigurationError("projector family does not resolve the identity")
     return ps
 
@@ -112,10 +124,8 @@ def random_projector_family(dim, rng, blocks=2):
 
 
 def _require_hermitian(h):
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ConfigurationError("hamiltonian must be square")
-    if not np.allclose(h, h.conj().T, atol=_ATOL, rtol=0.0):
+    h = _square(h, "a hamiltonian")
+    if not _close(h, h.conj().T, _ATOL):
         raise ConfigurationError("hamiltonian is not hermitian")
     return h
 

@@ -7,6 +7,7 @@ from resokit.errors import (
     ZeroProbabilityError,
 )
 from resokit.expansion import EffectiveMatrix
+from resokit import histories
 from resokit.histories import (
     History,
     collapse_nonselective,
@@ -90,6 +91,37 @@ class TestValidators:
     def test_empty_family(self):
         with pytest.raises(ConfigurationError):
             validate_projector_family([])
+
+
+    @pytest.mark.parametrize(
+        "validate",
+        [validate_density, validate_projector, histories._require_hermitian],
+        ids=["density", "projector", "hamiltonian"],
+    )
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((0, 0)), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0]),
+         np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([0.5 + 1j * np.inf, 0.5])],
+        ids=["empty", "inf_diagonal", "nan_diagonal", "inf_off_diagonal", "inf_imaginary"],
+    )
+    def test_empty_and_non_finite_refused(self, validate, matrix):
+        with pytest.raises(ConfigurationError):
+            validate(matrix)
+
+    def test_non_finite_hamiltonian_refused_before_evolution(self):
+        # scipy's eigh used to end this with "array must not contain infs or NaNs"
+        with pytest.raises(ConfigurationError, match="finite"):
+            unitary_evolve(np.diag([0.75, 0.25]), np.diag([np.inf, 1.0]), 1.0)
+
+    def test_tolerances_unchanged(self):
+        # hermiticity within 1e-12 and idempotence within 1e-10, as before
+        p = projector_onto(0, dim=2)
+        validate_projector(p + np.array([[0.0, 0.9e-12], [0.0, 0.0]]))
+        with pytest.raises(ConfigurationError):
+            validate_projector(p + np.array([[0.0, 1.1e-12], [0.0, 0.0]]))
+        validate_projector(p * (1.0 + 0.9e-10))
+        with pytest.raises(ConfigurationError):
+            validate_projector(p * (1.0 + 1.1e-10))
 
 
 class TestRandomGenerators:

@@ -11,6 +11,7 @@ from resokit.quadrature import (
     exp_sinh_rule,
     exp_sinh_table,
     integrate_exp_sinh,
+    integrate_lorentzian,
     oscillatory_quad,
 )
 
@@ -96,6 +97,64 @@ def test_narrow_lorentzian_channel_against_mpmath(ratio):
     want = _CHANNEL_REFERENCE[ratio]
     assert abs(value - want) <= 3e-14 * want
     assert err <= 1e-12 * (1.0 + value)
+
+
+# 30-digit mpmath values of the same integral for lines too narrow for the
+# exp-sinh ladder; the script that produced them is in CHANGES.md
+_NARROW_CHANNEL_REFERENCE = {
+    1e-5: 0.02469142307062401006509746,
+    1e-8: 0.02469135808973838697005257,
+}
+
+
+def _form_factor(e, cutoff=1.0):
+    """The golden_rule_sweep channel weight, without the Lorentzian."""
+    return e / (e / cutoff + 1.0) ** 4
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.01, 0.001, 1e-5, 1e-8])
+def test_lorentzian_channel_against_mpmath(ratio):
+    value, err = integrate_lorentzian(_form_factor, 2.0, ratio * 2.0)
+    want = (_CHANNEL_REFERENCE | _NARROW_CHANNEL_REFERENCE)[ratio]
+    assert abs(value - want) <= 1e-14 * want
+    assert err <= 1e-12 * (1.0 + value)
+
+
+@pytest.mark.parametrize("ratio", [1.9, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+def test_lorentzian_cost_does_not_grow_with_narrowness(ratio):
+    # the exp-sinh ladder needs 245,761 evaluations at 1e-3 and fails
+    # past 983,041 at 1e-4
+    f = _Counting(_form_factor)
+    integrate_lorentzian(f, 2.0, ratio * 2.0)
+    seen = np.concatenate(f.calls)
+    assert seen.size <= 1000
+    assert np.unique(seen).size == seen.size
+    assert np.all((seen > 0.0) & np.isfinite(seen))
+
+
+def test_lorentzian_unit_mass_on_the_half_line():
+    # f = 1 gives the Lorentzian's mass above E = 0: 1/2 + atan(2 E_R / G) / pi
+    for energy, width in [(2.0, 3.8), (2.0, 0.02), (1.0, 1e-9)]:
+        value, _ = integrate_lorentzian(np.ones_like, energy, width)
+        want = 0.5 + np.arctan(2.0 * energy / width) / np.pi
+        assert value == pytest.approx(want, rel=1e-15)
+
+
+def test_integrate_lorentzian_reports_failure():
+    rng = np.random.default_rng(0)
+
+    def noisy(x):
+        return rng.normal(size=x.shape)
+
+    with pytest.raises(QuadratureError):
+        integrate_lorentzian(noisy, 2.0, 0.2)
+
+
+@pytest.mark.parametrize("energy, width", [(0.0, 1.0), (1.0, 0.0), (np.nan, 1.0),
+                                           (1.0, np.inf)])
+def test_integrate_lorentzian_needs_a_line(energy, width):
+    with pytest.raises(QuadratureError):
+        integrate_lorentzian(np.ones_like, energy, width)
 
 
 def test_complex_quad_matches_parts():

@@ -609,6 +609,22 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "contour_check.manifest.json").read_text())
         assert manifest["achieved"]["deformation_max_rel_err"] < 1e-6
 
+    @pytest.mark.parametrize("ratios", [[1e-3, 1e-4], [1.9, 1e-8]],
+                             ids=["narrow", "broad_to_narrowest"])
+    def test_narrow_widths_run(self, tmp_path, capsys, ratios):
+        # the exp-sinh channel integral gave up after 983,041 nodes at 1e-4
+        cfg = load_config("golden_rule_sweep")
+        cfg["parameters"]["ratios"] = ratios
+        assert self._run_config(tmp_path, cfg) == 0
+        header, rows = read_csv(tmp_path / "out" / "golden_rule_sweep.csv")
+        assert len(rows) == len(ratios)
+        energy = cfg["parameters"]["energy"]
+        for row in rows:
+            cells = dict(zip(header, map(float, row)))
+            assert all(math.isfinite(v) for v in cells.values())
+            want = cells["width_over_energy"] * energy
+            assert abs(cells["exact_width"] - want) <= 1e-10 * want
+
     def test_plain_stem_is_used(self, tmp_path, capsys):
         cfg = load_config("single_resonance")
         cfg["output"] = {"stem": "renamed"}

@@ -1,12 +1,14 @@
 """Command line interface: scenario execution and catalog listing.
 
     resokit run <config-or-builtin-name> [--out-dir DIR] [--format csv|json]
-                [--seed N] [--tol-override KEY=VALUE ...] [--bless]
+                [--seed N] [--bless]
     resokit list [--json]
 
 Errors from the library are reported as a single JSON object on stderr
 so wrapping tools can parse failures; schema and configuration problems
-exit with status 2, runtime failures with 1.
+exit with status 2, runtime failures with 1.  No option sets a numerical
+tolerance; an unknown flag exits with status 2 and argparse's usage
+message.
 """
 
 from __future__ import annotations
@@ -17,19 +19,6 @@ import sys
 
 from .errors import ConfigurationError, ResokitError, SchemaError
 from .scenarios import list_scenarios, load_config, run_scenario
-
-
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SchemaError(f"tolerance override must look like KEY=VALUE, got {pair!r}")
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise SchemaError(f"tolerance override {key!r} needs a number, got {value!r}") from None
-    return out
 
 
 def _build_parser():
@@ -46,8 +35,6 @@ def _build_parser():
                      help="data file format (default: csv)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
-    run.add_argument("--tol-override", action="append", metavar="KEY=VALUE",
-                     help="override a named tolerance (repeatable)")
     run.add_argument("--bless", action="store_true",
                      help="copy outputs into the golden directory")
 
@@ -71,14 +58,12 @@ def main(argv=None):
                     print(f"{r['name']:<{width}}  {r['kind']:<{kind_w}}  {r['summary']}")
             return 0
 
-        overrides = _parse_overrides(args.tol_override)
         config = load_config(args.config)
         manifest = run_scenario(
             config,
             out_dir=args.out_dir,
             fmt=args.format,
             seed=args.seed,
-            tol_overrides=overrides,
             bless=args.bless,
         )
         for name in manifest["outputs"]:

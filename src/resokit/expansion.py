@@ -129,36 +129,41 @@ def dirac_pairing(psi, state):
     return value
 
 
-def _direct_cutoff(dag, wave, tail_tol):
+# the rational tail the direct pairing drops past its cut at t > 0
+_TAIL_BOUND = 1e-9
+
+
+def _direct_cutoff(dag, wave):
     """Upper integration limit so the dropped rational tail stays below
-    tail_tol (|S| = 1 on the spectrum makes the envelope exact)."""
+    _TAIL_BOUND (|S| = 1 on the spectrum makes the envelope exact)."""
     m = dag.decay_order + wave.decay_order
     scale = dag.decay_scale * wave.decay_scale
-    cut = (scale / ((m - 1) * tail_tol)) ** (1.0 / (m - 1))
-    floor = 8.0 * max(dag.pole_scale, wave.pole_scale, 1.0)
-    return max(cut, floor), m, scale
+    cut = (scale / ((m - 1) * _TAIL_BOUND)) ** (1.0 / (m - 1))
+    return max(cut, 8.0 * max(dag.pole_scale, wave.pole_scale, 1.0))
 
 
-def smatrix_pairing_direct(psi, state, model, t, tail_tol=1e-9):
+def smatrix_pairing_direct(psi, state, model, t):
     """The evolved S-matrix pairing, integrated on the physical spectrum.
 
-    Uses oscillatory (QAWO) quadrature on [0, L] with L chosen so the
-    truncated tail is below tail_tol, which is added to the reported
-    error bound.  This is the reference value the deformation identity
-    is checked against.
+    At t = 0 the integrand is rational and QUADPACK's QAGI integrates it
+    to infinity, with nothing cut.  At t > 0 oscillatory (QAWO)
+    quadrature runs on [0, L] with L chosen so the truncated tail is
+    below _TAIL_BOUND, which is added to the reported error bound.  This
+    is the reference value the deformation identity is checked against.
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("smatrix_pairing_direct needs an SMatrixModel")
     if not t >= 0.0:
         raise ArrowOfTimeError(f"the pairing evolves forward only, got t = {t}")
     dag, wave = _require_pair(psi, state)
-    cut, _, _ = _direct_cutoff(dag, wave, tail_tol)
 
     def f(e):
         return dag(e) * model.on_spectrum(e) * wave(e)
 
-    value, err = oscillatory_quad(f, cut, t)
-    return PairingResult(value=value, error=err + tail_tol)
+    if t == 0.0:
+        return PairingResult(*oscillatory_quad(f, np.inf, 0.0))
+    value, err = oscillatory_quad(f, _direct_cutoff(dag, wave), t)
+    return PairingResult(value=value, error=err + _TAIL_BOUND)
 
 
 @dataclass(frozen=True, eq=False)

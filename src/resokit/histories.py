@@ -130,8 +130,9 @@ def _require_hermitian(h):
     return h
 
 
-def _propagator(h, t):
-    w, v = eigh(h)
+def _propagator(eig, t):
+    """e^{-iHt} from the eigendecomposition eig = eigh(H)."""
+    w, v = eig
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -140,8 +141,7 @@ def unitary_evolve(rho, hamiltonian, t):
     if not t >= 0.0:
         raise ArrowOfTimeError(f"evolution is forward only, got t = {t}")
     rho = validate_density(rho)
-    h = _require_hermitian(hamiltonian)
-    u = _propagator(h, t)
+    u = _propagator(eigh(_require_hermitian(hamiltonian)), t)
     return u @ rho @ u.conj().T
 
 
@@ -150,8 +150,7 @@ def heisenberg_projector(p, hamiltonian, t):
     if not t >= 0.0:
         raise ArrowOfTimeError(f"Heisenberg projectors need t >= 0, got {t}")
     p = validate_projector(p)
-    h = _require_hermitian(hamiltonian)
-    u = _propagator(h, t)
+    u = _propagator(eigh(_require_hermitian(hamiltonian)), t)
     return u.conj().T @ p @ u
 
 
@@ -213,12 +212,13 @@ class History:
 def history_probability(rho, hamiltonian, history):
     """Tr(M rho M*) with M the ordered Heisenberg projector product."""
     rho = validate_density(rho)
-    h = _require_hermitian(hamiltonian)
+    eig = eigh(_require_hermitian(hamiltonian))
     if not isinstance(history, History):
         history = History(steps=tuple(history))
     m = np.eye(rho.shape[0], dtype=complex)
     for p, t in history.steps:
-        m = heisenberg_projector(p, h, t) @ m
+        u = _propagator(eig, t)
+        m = u.conj().T @ p @ u @ m
     val = np.trace(m @ rho @ m.conj().T).real
     return float(max(val, 0.0))
 

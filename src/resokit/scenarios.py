@@ -45,24 +45,20 @@ _MAX_DECAY = -math.log(sys.float_info.min)  # e^-x stays a normal double
 _SPOTS = (0.0, 1.0, 3.0)  # two_resonance's direct checks, in lifetimes
 
 # One key of a config object.  type is number, int, numbers (a nonempty
-# list of numbers), poles (a nonempty list of {energy, width} objects),
-# wave (a HardyFunction object) or tolerances (an object of _TOLERANCES
-# keys); gt, ge and le bound every number, and every number is finite.
+# list of numbers), poles (a nonempty list of {energy, width} objects)
+# or wave (a HardyFunction object); gt, ge and le bound every number,
+# and every number is finite.
 _Field = namedtuple("_Field", "name type default gt ge le",
                     defaults=(_REQUIRED, None, None, None))
 
 _ENERGY = _Field("energy", "number", gt=0.0)
 _WIDTH = _Field("width", "number", gt=0.0)
-_TOLERANCES = (
-    _Field("direct_tail", "number", 1e-9, gt=0.0),
-)
 _EXPANSION = (
     _Field("resonances", "poles"),
     _Field("dual", "wave", {"half_plane": "upper", "terms": [
         {"re": 1.0, "im": 0.0, "pole_re": 2.0, "pole_im": -1.0, "order": 2}]}),
     _Field("state", "wave", {"half_plane": "lower", "terms": [
         {"re": 1.0, "im": 0.0, "pole_re": 1.5, "pole_im": 0.8, "order": 2}]}),
-    _Field("tolerances", "tolerances", {}),
 )
 
 # the parameters of each kind; README.md lists them
@@ -133,8 +129,6 @@ def _value(f, value, path):
             return ResonancePole(**_object(value, (_ENERGY, _WIDTH), path))
         except ConfigurationError as exc:
             raise SchemaError(str(exc), path=path) from exc
-    if f.type == "tolerances":
-        return _object(value, _TOLERANCES, path)
     if f.type == "wave":
         if not isinstance(value, dict):
             raise SchemaError("expected a wave-function object", path=path)
@@ -237,8 +231,7 @@ def _expansion_check(p, lifetimes):
     checks = []
     bound = 0.0
     for t in (n / _narrowest(p) for n in lifetimes):
-        pairing = xp.smatrix_pairing_direct(p.dual, state, model, t,
-                                            tail_tol=p.tolerances["direct_tail"])
+        pairing = xp.smatrix_pairing_direct(p.dual, state, model, t)
         direct = pairing.value
         rec = exp.reconstruct(t)
         checks.append((t, direct, rec, abs(direct - rec) / abs(direct)))
@@ -463,8 +456,7 @@ def _write_manifest(path, manifest):
         fh.write("\n")
 
 
-def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
-                 bless=False):
+def run_scenario(config, out_dir, fmt="csv", seed=None, bless=False):
     """Execute one scenario config; returns the manifest dict."""
     if fmt not in ("csv", "json"):
         raise SchemaError(f"format must be csv or json, got {fmt!r}")
@@ -476,16 +468,10 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, tol_overrides=None,
     params = config.get("parameters", {})
     if not isinstance(params, dict):
         raise SchemaError("parameters must be an object", path="parameters")
-    params = dict(params)
     output = config.get("output", {})
     if not isinstance(output, dict):
         raise SchemaError("output must be an object", path="output")
     stem = _plain_name(output.get("stem", name), "output.stem")
-    if tol_overrides:
-        merged = params.get("tolerances", {})
-        if not isinstance(merged, dict):
-            raise SchemaError("tolerances must be an object", path="parameters.tolerances")
-        params["tolerances"] = {**merged, **tol_overrides}
     if seed is None:
         seed = config.get("seed", _DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

@@ -27,7 +27,7 @@ import cmath
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,6 +191,11 @@ class BackgroundPhase:
         return cls(terms=tuple(tuple(t) for t in data.get("terms", ())))
 
 
+# S refuses momenta within this distance of a pole, relative to the
+# pole's scale max(|s|, 1)
+_PROXIMITY = 1e-12
+
+
 @dataclass(frozen=True)
 class SMatrixModel:
     """Finite Blaschke product with an optional background phase.
@@ -202,7 +207,6 @@ class SMatrixModel:
 
     poles: tuple
     background: BackgroundPhase | None = None
-    proximity: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         if not self.poles:
@@ -225,7 +229,7 @@ class SMatrixModel:
         object.__setattr__(self, "_singularities", tuple(sing))
         object.__setattr__(
             self, "_guards",
-            tuple((s, self.proximity * max(abs(s), 1.0)) for s in sing),
+            tuple((s, _PROXIMITY * max(abs(s), 1.0)) for s in sing),
         )
 
     def singularities(self):
@@ -235,7 +239,7 @@ class SMatrixModel:
 
     def eval(self, k):
         """S(k) for scalar or array k; rejects points at pole distance
-        below `proximity` relative to the pole scale."""
+        below `_PROXIMITY` relative to the pole scale."""
         if isinstance(k, numbers.Number):
             return self._scalar(complex(k))
         k_arr = np.asarray(k, dtype=complex)
@@ -243,7 +247,7 @@ class SMatrixModel:
             d = np.abs(k_arr - s)
             if np.any(d < radius):
                 raise PoleProximityError(
-                    f"evaluation within {self.proximity:g} of pole {s}",
+                    f"evaluation within {_PROXIMITY:g} of pole {s}",
                     pole=s,
                     distance=float(np.min(d)),
                 )
@@ -263,7 +267,7 @@ class SMatrixModel:
             d = abs(k - s)
             if d < radius:
                 raise PoleProximityError(
-                    f"evaluation within {self.proximity:g} of pole {s}",
+                    f"evaluation within {_PROXIMITY:g} of pole {s}",
                     pole=s,
                     distance=d,
                 )

@@ -26,6 +26,7 @@ integral with Fourier (QAWF) quadrature and serves as the cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,18 @@ class SpectralDensity:
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "norm", 1.0)
         x, w = exp_sinh_rule(_STEP, _CLIP)
-        nodes = resonance.energy * x
-        shape = self._shape(-1j * nodes)
-        table = (nodes, resonance.energy * w * shape, nodes[[0, -1]] * np.abs(shape[[0, -1]]))
+        # entries past the double range come out 0 (negligible) or nan;
+        # the first nan appears where 2 E_R u_N = 2 E_R^2 x_N overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = resonance.energy * x
+            shape = self._shape(-1j * nodes)
+            table = (nodes, resonance.energy * w * shape,
+                     nodes[[0, -1]] * np.abs(shape[[0, -1]]))
+        if not all(np.isfinite(arr).all() for arr in table):
+            limit = math.sqrt(sys.float_info.max / (2.0 * x[-1]))
+            raise ConfigurationError(
+                f"resonance energy {resonance.energy:g} overflows the endpoint "
+                f"table; energies up to about {limit:.2g} are supported")
         for arr in table:
             arr.setflags(write=False)
         object.__setattr__(self, "_table", table)

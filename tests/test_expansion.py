@@ -132,8 +132,20 @@ class TestDirectPairing:
             smatrix_pairing_direct(psi, state, "model", 0.0)
 
     def test_error_bound_includes_tail(self, psi, state, model):
-        res = smatrix_pairing_direct(psi, state, model, 1.0, tail_tol=1e-9)
-        assert res.error >= 1e-9
+        res = smatrix_pairing_direct(psi, state, model, 1.0)
+        assert res.error >= expansion._TAIL_BOUND == 1e-9
+
+    @pytest.mark.parametrize(
+        "two_poles, ref",
+        [(False, 0.3859048475277142267679027 - 0.3190577678130126560805839j),
+         (True, -1.078212414937062590117209 - 0.04999209633486069905113854j)],
+        ids=["contour_check", "kaon_pair"],
+    )
+    def test_t0_pairing_is_not_cut(self, psi, state, model, model_two, two_poles, ref):
+        # 30-digit mpmath values of the rational integral to infinity; the
+        # former cut at the 1e-9 tail bound was off by up to 2e-9 relative
+        res = smatrix_pairing_direct(psi, state, model_two if two_poles else model, 0.0)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
     def test_one_integrand_call_per_abscissa(self, psi, state, model_two, monkeypatch):
         # the kaon_pair model and waves at its latest check time, 3 lifetimes

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from resokit.errors import (
     ArrowOfTimeError,
@@ -253,6 +254,24 @@ class TestHistories:
             for p in fam
         )
         assert abs(refined - short) < 1e-12
+
+    def test_one_eigendecomposition_per_history(self, rho4, ham, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return eigh(h)
+
+        monkeypatch.setattr(histories, "eigh", counted)
+        p1 = projector_onto(0) + projector_onto(1)
+        hist = History(steps=((p1, 0.6), (projector_onto(0), 1.4)))
+        expected = histories.heisenberg_projector(projector_onto(0), ham, 1.4) @ \
+            histories.heisenberg_projector(p1, ham, 0.6)
+        calls.clear()
+        prob = history_probability(rho4, ham, hist)
+        assert len(calls) == 1
+        assert prob == pytest.approx(np.trace(expected @ rho4 @ expected.conj().T).real,
+                                     rel=1e-13)
 
     def test_accepts_raw_step_sequence(self, rho4, ham):
         p = projector_onto(0)

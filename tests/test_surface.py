@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resokit import surface
 from resokit.errors import (
     BranchPointError,
     ConfigurationError,
@@ -271,7 +272,7 @@ class TestScalarBranch:
     def test_guards_fire_on_both_paths(self, poles, background, offset, angle):
         model = _model(poles, background)
         for s in model.singularities():
-            radius = model.proximity * max(abs(s), 1.0)
+            radius = surface._PROXIMITY * max(abs(s), 1.0)
             inside = s + offset * radius * np.exp(1j * angle)
             for k in (s, inside):
                 with pytest.raises(PoleProximityError):

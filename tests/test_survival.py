@@ -245,6 +245,37 @@ class TestEndpointTable:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("energy", [1e137, 1e300])
+    def test_energy_past_the_table_exits_2(self, tmp_path, capsys, energy):
+        # 2 E_R u_N overflows past E_R = 3.8e136 and turns table entries
+        # into nan; numpy's overflow warning used to end the run as a
+        # DomainError (exit 1) from about 2.2e119 on
+        with pytest.raises(ConfigurationError, match="up to about 3.8e[+]136"):
+            SpectralDensity.truncated_lorentzian(ResonancePole(energy, 1.0))
+        config = tmp_path / "khalfin.json"
+        config.write_text(json.dumps({"kind": "khalfin",
+                                      "parameters": {"energy": energy, "width": 1.0}}))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ConfigurationError"
+        assert not out.exists()
+
+    def test_large_energy_runs(self, tmp_path, capsys):
+        # at E_R = 1e130 the entries that overflow are negligible and come
+        # out 0; with Gamma / E_R = 1e-130 the rows follow the pole law
+        config = tmp_path / "khalfin.json"
+        config.write_text(json.dumps({"kind": "khalfin",
+                                      "parameters": {"energy": 1e130, "width": 1.0}}))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        lines = (out / "khalfin.csv").read_text().splitlines()[1:]
+        assert len(lines) == 60
+        for line in lines:
+            assert float(line.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestTail:
     def test_truncated_lorentzian_tail(self, dens):
         assert tail_exponent(dens) == pytest.approx(-2.0, abs=1e-3)

@@ -14,6 +14,7 @@ message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,10 @@ from .errors import ConfigurationError, ResokitError, SchemaError
 from .scenarios import list_scenarios, load_config, run_scenario
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="resokit",
         description="Resonance toolkit scenario runner",

@@ -210,23 +210,34 @@ def _channel_integral(config, channel, weighted=False):
 
 def normalize(config):
     """Rescale all strengths by one common factor so partial widths sum
-    to the resonance width.  Relative branching ratios are untouched."""
+    to the resonance width.  Relative branching ratios are untouched.
+
+    The channel integrals do not depend on the strengths, so the
+    returned configuration keeps them for `partial_width` and
+    `total_width_check`; `dataclasses.replace` drops them again.
+    """
+    integrals = {c.label: _channel_integral(config, c) for c in config.channels}
     total = sum(
-        2.0 * math.pi * c.strength * _channel_integral(config, c)
+        2.0 * math.pi * c.strength * integrals[c.label]
         for c in config.channels
     )
     if total <= 0.0:
         raise NormalizationError("total coupling vanishes; cannot normalize")
     factor = config.resonance.width / total
     channels = tuple(replace(c, strength=c.strength * factor) for c in config.channels)
-    return replace(config, channels=channels, normalized=True,
-                   rescale=config.rescale * factor)
+    out = replace(config, channels=channels, normalized=True,
+                  rescale=config.rescale * factor)
+    object.__setattr__(out, "_integrals", integrals)
+    return out
 
 
 def partial_width(config, label):
     """Gamma_eta = 2 pi v2_eta integral w_eta bw dE (ideal weighting)."""
     c = config.channel(label)
-    return 2.0 * math.pi * c.strength * _channel_integral(config, c)
+    integral = getattr(config, "_integrals", {}).get(label)
+    if integral is None:
+        integral = _channel_integral(config, c)
+    return 2.0 * math.pi * c.strength * integral
 
 
 def total_width_check(config):

@@ -142,19 +142,9 @@ class HardyFunction:
         return min(n for _, _, n in self.terms)
 
     @property
-    def decay_scale(self):
-        """Envelope coefficient at the guaranteed decay order."""
-        m = self.decay_order
-        return float(sum(abs(c) for c, _, n in self.terms if n == m))
-
-    @property
     def inverse_energy_coefficient(self):
         """Coefficient of 1/E in the large-E expansion."""
         return complex(sum(c for c, _, n in self.terms if n == 1))
-
-    @property
-    def pole_scale(self):
-        return max(abs(p) for _, p, _ in self.terms)
 
     def line_moment(self):
         """Full-line integral of f, closed form.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resokit import expansion
+from resokit import exact, expansion
 from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
@@ -131,9 +131,13 @@ class TestDirectPairing:
         with pytest.raises(ConfigurationError):
             smatrix_pairing_direct(psi, state, "model", 0.0)
 
-    def test_error_bound_includes_tail(self, psi, state, model):
-        res = smatrix_pairing_direct(psi, state, model, 1.0)
-        assert res.error >= expansion._TAIL_BOUND == 1e-9
+    @pytest.mark.parametrize("t", [1.0, 15.0])
+    def test_error_bound_covers_the_closed_form(self, psi, state, model, t):
+        # QAWF runs to infinity, so QUADPACK's bound is the whole error
+        # estimate, and it covers the gap to the closed form
+        res = smatrix_pairing_direct(psi, state, model, t)
+        ref = exact.principal_parts(psi, state, model).pairing(t).value
+        assert abs(res.value - ref) <= res.error < 1e-7
 
     @pytest.mark.parametrize(
         "two_poles, ref",
@@ -149,18 +153,18 @@ class TestDirectPairing:
 
     def test_one_integrand_call_per_abscissa(self, psi, state, model_two, monkeypatch):
         # the kaon_pair model and waves at its latest check time, 3 lifetimes
-        # of the narrower pole: four QAWO passes over about 1,000 abscissae
+        # of the narrower pole: four QAWF passes over about 1,000 abscissae
         calls = []
-        real_quad = expansion.oscillatory_quad
+        real_quad = expansion.decaying_fourier_quad
 
-        def counting_quad(f, upper, omega, **kwargs):
+        def counting_quad(f, omega, **kwargs):
             def counted(e):
                 calls.append(e)
                 return f(e)
 
-            return real_quad(counted, upper, omega, **kwargs)
+            return real_quad(counted, omega, **kwargs)
 
-        monkeypatch.setattr(expansion, "oscillatory_quad", counting_quad)
+        monkeypatch.setattr(expansion, "decaying_fourier_quad", counting_quad)
         t = 3.0 / min(p.width for p in model_two.poles)
         smatrix_pairing_direct(psi, state, model_two, t)
         assert len(calls) == len(set(calls))

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from resokit import goldenrule
 
 from resokit.errors import (
     ArrowOfTimeError,
@@ -174,6 +178,20 @@ class TestWidths:
         assert total_width_check(config3) == pytest.approx(
             resonance.width, rel=1e-10
         )
+
+    def test_normalize_integrates_each_channel_once(self, config3, monkeypatch):
+        # the widths reuse normalize's integrals, with the same arithmetic
+        # as integrating again; a replaced configuration integrates afresh
+        calls = []
+        real = goldenrule.integrate_lorentzian
+        monkeypatch.setattr(goldenrule, "integrate_lorentzian",
+                            lambda *args: calls.append(args) or real(*args))
+        config = normalize(replace(config3, normalized=False))
+        assert len(calls) == len(config.channels)
+        width = total_width_check(config)
+        assert len(calls) == len(config.channels)
+        assert width == total_width_check(replace(config))
+        assert len(calls) == 2 * len(config.channels)
 
     def test_normalize_preserves_branching_ratios(self, resonance, config3):
         raw_strengths = (1.0, 0.6, 2.2)

@@ -93,9 +93,7 @@ class TestHardyFunction:
     def test_decay_metadata(self, psi, psi_order1):
         mixed = psi + psi_order1
         assert mixed.decay_order == 1
-        assert mixed.decay_scale == pytest.approx(abs(0.5 + 0.2j))
         assert mixed.inverse_energy_coefficient == 0.5 + 0.2j
-        assert mixed.pole_scale == pytest.approx(abs(2.0 - 1.0j))
 
     def test_json_round_trip(self, psi_order1):
         assert HardyFunction.from_dict(psi_order1.to_dict()) == psi_order1

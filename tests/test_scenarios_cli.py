@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -223,10 +224,52 @@ class TestAchievedQuality:
 
 
     @pytest.mark.parametrize("name", ["kaon_pair", "contour_check"])
-    def test_direct_error_bound_reported(self, runs, name):
-        # the QUADPACK bound of the direct oracle plus its 1e-9 tail cut
-        bound = runs[name][0]["achieved"]["direct_error_bound_max"]
-        assert 1e-9 <= bound < 1e-6
+    def test_exact_error_bound_reported(self, runs, name):
+        # the running rounding bound of the closed-form pairing, which
+        # raises past 1e-9 of |I|; the QUADPACK key is gone
+        achieved = runs[name][0]["achieved"]
+        assert 0.0 < achieved["exact_error_bound_max"] < 1e-9
+        assert "direct_error_bound_max" not in achieved
+
+    @pytest.mark.parametrize(
+        "name, edit, key",
+        [("kaon_pair", lambda p: p["resonances"][0].update(width=1e-3),
+          "reconstruction_max_rel_err"),
+         ("contour_check", lambda p: [p[side]["terms"][0].update(order=1)
+                                      for side in ("dual", "state")],
+          "deformation_max_rel_err")],
+        ids=["kaon_narrow_width", "contour_order_one"],
+    )
+    def test_checks_hold_where_quadpack_failed(self, tmp_path, name, edit, key):
+        # the QUADPACK oracle reported 34 and 10.4 here while the expansion
+        # was right; the closed form measures the expansion itself
+        cfg = load_config(name)
+        edit(cfg["parameters"])
+        manifest = run_scenario(cfg, out_dir=tmp_path)
+        assert manifest["achieved"][key] < 1e-8
+
+    def test_uncertified_pairing_exits_1(self, tmp_path):
+        # a state pole 1e-7 from conj(z): the closed form cancels past its
+        # bound, so the run fails with one JSON line and writes nothing
+        cfg = load_config("contour_check")
+        cfg["parameters"]["state"]["terms"][0].update(pole_re=1.0 + 1e-7, pole_im=0.1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, err, caught = run_cli(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        assert (code, caught) == (1, [])
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["type"] == "QuadratureError"
+        assert not (tmp_path / "out").exists()
+
+    def test_checks_run_without_quadpack(self, tmp_path, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("an expansion check called QUADPACK")
+
+        monkeypatch.setattr("resokit.quadrature.quad", no_quad)
+        for name in ("kaon_pair", "contour_check"):
+            manifest = run_scenario(load_config(name), out_dir=tmp_path / name)
+            assert manifest["rows_written"] > 0
 
 
 class TestLongHorizons:
@@ -395,6 +438,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol-override" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        main(["list"])
+        built = []
+        real = argparse.ArgumentParser
+        monkeypatch.setattr(argparse, "ArgumentParser",
+                            lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+        for _ in range(3):
+            assert main(["list", "--json"]) == 0
+        assert built == []
 
     def _run_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"

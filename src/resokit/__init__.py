@@ -4,10 +4,11 @@ Core pieces: the two-sheeted energy surface with Blaschke S-matrix
 models (surface), rational Hardy-class wave functions with the
 Paley-Wiener support test (hardy), Gamow kets with semigroup evolution
 (gamow), the complex basis-vector expansion by contour deformation
-(expansion) and the closed-form pairing it is checked against (exact),
-exact and Born golden rules (goldenrule), Khalfin survival
-amplitudes (survival), projective history probabilities (histories),
-and a deterministic scenario CLI (scenarios, cli).
+(expansion), exact and Born golden rules (goldenrule), Khalfin
+survival amplitudes (survival), the closed forms the expansion and the
+survival amplitude are checked against (exact), projective history
+probabilities (histories), and a deterministic scenario CLI
+(scenarios, cli).
 """
 
 from . import errors

@@ -47,6 +47,28 @@ Where the bound exceeds 1e-9 of |I| the pairing raises QuadratureError:
 for poles a few 1e-8 apart, whose coefficients cancel, and for a line of
 width 1e-6 from about one lifetime on, where the rounding of E t alone
 is 2e-10 per lifetime.
+
+`survival_amplitude(density, t)` is the same kind of oracle for the
+survival amplitude of a `survival.SpectralDensity`,
+rho(z) = N c^power z^alpha / ((z - z0)(z - conj z0))^power with
+c = Gamma / 2 pi.  Rotated onto the negative imaginary axis, A(t) is the
+pole term of `survival._pole_residues` plus the leg
+integral_0^{-i inf} rho(z) e^{-izt} dz, and since rho is rational the
+leg is a finite sum of L_1(P) = e^x E1(x), x = -iPt, and
+L_2(P) = dL_1/dP = -it L_1(P) - 1/P over the partial fractions of rho
+at P = z0 and conj z0 (DLMF 6.2).  That sum cancels twice: between the
+two poles, whose coefficients grow as Gamma^(1 - 2 power) while the
+values L(z0) and L(conj z0) agree but for Gamma / E_R, and at the
+threshold, where rho ~ z^alpha makes the leg fall as t^-(alpha + 1)
+while each term falls as 1/t.  From |x| = 30 on the leg is also summed
+from the large-t series of L_1 (the one `_e1_scaled` uses from
+|x| = 50) with the divided differences over the poles taken term by
+term in closed form, where both cancellations are exact; from |x| = 50
+the series alone is used, and between 30 and 50 the smaller bound wins.
+The leg so keeps its relative accuracy from Gamma / E_R = 1.9 down to
+1e-12 and out to 708 lifetimes.  Below |x| = 30 the partial fractions
+lose at most |x|^alpha E_R / Gamma times the rounding of the leg, small
+against the pole term of the early times where they apply.
 """
 
 from __future__ import annotations
@@ -61,8 +83,9 @@ from scipy.special import exp1, wofz
 from .errors import ArrowOfTimeError, ConfigurationError, QuadratureError
 from .expansion import PairingResult, _require_pair
 from .surface import SMatrixModel
+from .survival import SpectralDensity, _pole_residues
 
-__all__ = ["PrincipalParts", "principal_parts"]
+__all__ = ["PrincipalParts", "principal_parts", "survival_amplitude"]
 
 _EPS = float(np.finfo(float).eps)
 # roots closer than this, relative to their size, are one pole
@@ -80,7 +103,14 @@ _CIRCLE_NODES = 32
 # smallest term there is below e^-50
 _ASYMPTOTIC = 50.0
 _ASYMPTOTIC_TERMS = 30
-# the largest error bound a pairing may report, relative to its value
+# terms of the survival leg's large-t series, which alone gives the leg
+# from |x| = 50 on: there the last, against the first, is below
+# 48!/50^48 binom(51, 3) < 1e-16.  From |x| = 30 it competes with the
+# partial fractions, which lose up to |x|^alpha to the threshold.
+_LEG_TERMS = 48
+_LEG_SERIES_FROM = 30.0
+# the largest error bound a pairing or amplitude may report, relative to
+# its value
 _LIMIT = 1e-9
 _ROT = cmath.exp(0.25j * math.pi)
 
@@ -395,3 +425,144 @@ def _k_integrals(q, energy, t, order, at, sign, circle, e1x, f, e1_err, f_err):
         mag = abs(front) * np.convolve(np.abs(lin), np.abs(quad))[:order]
         err += mag * _EPS * (2.0 * abs(energy * t) + 2.0 * np.arange(1, order + 1) + 4.0)
     return k, err
+
+
+def survival_amplitude(density, t):
+    """A(t) of a `survival.SpectralDensity` in closed form, and its bound.
+
+    The value is the pole term of `survival._pole_residues`, the same
+    bits the rotation adds, plus the leg in closed form; the bound covers
+    the leg and the final sum, not the rounding of e^{-i z0 t} in the
+    pole term, which both methods share.  A bound past 1e-9 of |A| raises
+    QuadratureError.
+    """
+    if not isinstance(density, SpectralDensity):
+        raise ConfigurationError("survival_amplitude needs a SpectralDensity")
+    if not t >= 0.0:
+        raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
+    if not math.isfinite(t):
+        raise ConfigurationError(f"the amplitude needs a finite time, got t = {t}")
+    leg, error = _survival_leg(density, t)
+    value = complex(_pole_residues(density, t)) + leg
+    error += 2.0 * _EPS * abs(value)
+    if not error <= _LIMIT * abs(value):
+        raise QuadratureError(
+            f"closed-form survival amplitude at t = {t:g} cancels past its bound "
+            f"({error:.3e} against |A| = {abs(value):.3e})"
+        )
+    return PairingResult(value=value, error=error)
+
+
+def _survival_leg(density, t):
+    """The leg integral_0^{-i inf} rho(z) e^{-izt} dz and its bound.
+
+    In units of E_R the pole is z0 = 1 - i gamma / 2, gamma = Gamma / E_R,
+    and t becomes tau = E_R t; the leg is
+    N c^power E_R^(alpha + 1 - 2 power) times the leg of
+    zeta^alpha / ((zeta - z0)(zeta - conj z0))^power at tau.  The partial
+    fractions' coefficients grow as gamma^(1 - 2 power), so they come
+    times gamma^(2 power - 1) and their scale without it, which keeps
+    both finite for any gamma.
+    """
+    res = density.resonance
+    alpha, power = density.alpha, density.power
+    gamma = res.width / res.energy
+    if not gamma:
+        # Gamma / E_R below the double range: the leg, of relative size
+        # gamma, rounds to 0 against the pole term
+        return 0j, 0.0
+    z0 = complex(1.0, -0.5 * gamma)
+    tau = res.energy * t
+    # N c^power E_R^(alpha + 1 - 2 power) / gamma^(2 power - 1)
+    scale = (density.norm / gamma ** (power - 1) * res.energy ** (alpha + 1 - power)
+             / (2.0 * math.pi) ** power)
+    # between the two regimes both sums run and the smaller bound wins
+    x = abs(z0) * tau
+    sums = []
+    if x >= _LEG_SERIES_FROM:
+        leg, error = _leg_series(z0, tau, alpha, power)
+        sums.append((scale * gamma ** (2 * power - 1) * leg,
+                     abs(scale) * gamma ** (2 * power - 1) * error))
+    if x < _ASYMPTOTIC:
+        leg, error = _leg_fractions(z0, gamma, tau, alpha, power)
+        sums.append((scale * leg, abs(scale) * error))
+    leg, error = min(sums, key=lambda pair: pair[1])
+    # the rounding of gamma, scale and the series' leading factor
+    return leg, error + 8.0 * _EPS * abs(leg)
+
+
+_POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
+
+
+def _leg_series(z0, tau, alpha, power):
+    """The unit leg from the large-t series of e^x E1(x), for |z0| tau >= 30.
+
+    zeta^alpha e^x E1(x) ~ sum_j (-1)^j j! (i / tau)^(j + 1) zeta^(alpha-j-1),
+    and the leg is the divided difference of that over the nodes z0 and
+    conj z0, each `power` times.  For j < alpha the term is a polynomial
+    of too low a degree and drops out; for m = j + 1 - alpha >= 1,
+    zeta^-m has the divided difference -|z0|^(-2 power) h_(m-1) with h_k
+    the complete symmetric polynomials of the reciprocal nodes.  Over
+    1/z0 = r e^{i theta} and its conjugate, h_k = r^k sin((k+1) theta) /
+    sin(theta), real and at most (k + 1) r^k; doubled nodes convolve h
+    with itself.  The series is asymptotic and is summed up to its
+    smallest term, past which the remainder is bounded by that term
+    times |z0| (the cosecant of arg x, DLMF 6.12), doubled.
+    """
+    k = np.arange(_LEG_TERMS + 1)
+    theta = math.atan2(-z0.imag, z0.real)
+    rk = abs(z0) ** -k.astype(float)
+    h = rk * (np.sin((k + 1) * theta) / math.sin(theta) if theta else k + 1.0)
+    mag = rk * (k + 1.0)
+    if power == 2:
+        h = np.convolve(h, h)[: k.size]
+        mag = np.convolve(mag, mag)[: k.size]
+    # (k + alpha)! / alpha! / tau^k, times (-i)^k
+    ratio = np.cumprod(np.r_[1.0, (k[1:] + alpha) / tau])
+    terms = ratio * h * _POWERS_OF_MINUS_I[k % 4]
+    size = ratio * mag
+    last = int(np.argmin(size))
+    total = complex(terms[:last].sum())
+    # each term carries the rounding of tau, of its factorial ratio and of h_k
+    error = _EPS * float(np.sum(size[:last] * (4 * k[:last] + alpha + 20)))
+    error += 2.0 * abs(z0) * size[last]
+    lead = -(-1) ** alpha * math.factorial(alpha) * (1j / tau) ** (alpha + 1)
+    lead /= abs(z0) ** (2 * power)
+    return lead * total, abs(lead) * error
+
+
+def _leg_fractions(z0, gamma, tau, alpha, power):
+    """gamma^(2 power - 1) times the unit leg, from the partial fractions
+    of zeta^alpha / ((zeta - z0)(zeta - conj z0))^power against L_1 and
+    L_2, for |z0| tau < 50.
+
+    At a node P the other node is P - gamma s with s = -i at z0 and +i at
+    conj z0.  The coefficients, times gamma^(2 power - 1), are P^alpha / s
+    for a simple pole; for a double pole gamma P^alpha / s^2 of L_2 and
+    (alpha P^(alpha-1) gamma - 2 P^alpha / s) / s^2 of L_1.  At t = 0,
+    L_1(P) = -log(-iP): the constant and the log t of e^x E1(x) drop out
+    because the coefficients of L_1 sum to zero.
+    """
+    nodes = (z0, z0.conjugate())
+    if tau == 0.0:
+        g = np.array([-cmath.log(-1j * p) for p in nodes])
+        g_err = _EPS * (np.abs(g) + 1.0)
+    else:
+        g, g_err = _e1_scaled(-1j * tau * np.array(nodes))
+    leg, error, size = 0j, 0.0, 0.0
+    for p, s, l1, l1_err in zip(nodes, (-1j, 1j), g, g_err):
+        top = p**alpha
+        if power == 1:
+            c1, mag1 = top / s, abs(top)
+        else:
+            c1 = (alpha * p ** (alpha - 1) * gamma - 2.0 * top / s) / s**2
+            mag1 = alpha * abs(p) ** (alpha - 1) * gamma + 2.0 * abs(top)
+            c2 = gamma * top / s**2
+            l2 = -1j * tau * l1 - 1.0 / p
+            leg += c2 * l2
+            size += abs(c2) * (abs(tau * l1) + abs(1.0 / p))
+            error += abs(c2) * tau * l1_err
+        leg += c1 * l1
+        size += mag1 * abs(l1)
+        error += mag1 * l1_err
+    return leg, error + 8.0 * _EPS * size

@@ -32,7 +32,13 @@ from . import expansion as xp
 from . import goldenrule as gr
 from . import histories as hi
 from . import survival as sv
-from .errors import ConfigurationError, DomainError, OutputError, SchemaError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    OutputError,
+    QuadratureError,
+    SchemaError,
+)
 from .gamow import GamowKet
 from .hardy import HardyFunction
 from .surface import ResonancePole, SMatrixModel
@@ -44,6 +50,9 @@ _REQUIRED = object()
 _MAX_ROWS = 10_000
 _MAX_DECAY = -math.log(sys.float_info.min)  # e^-x stays a normal double
 _SPOTS = (0.0, 1.0, 3.0)  # two_resonance's exact checks, in lifetimes
+# the largest gap khalfin accepts between the rotated contour and the
+# closed-form amplitude
+_CROSS_LIMIT = 1e-9
 
 # One key of a config object.  type is number, int, numbers (a nonempty
 # list of numbers), poles (a nonempty list of {energy, width} objects)
@@ -307,11 +316,18 @@ def _run_khalfin(p, rng):
         prob = sv.survival_probability(density, t)
         law = sv.exponential_law(density, t)
         rows.append([t, prob, law, prob / law])
-    worst = max(abs(sv.survival_amplitude(density, n / p.width, method="rotation")
-                    - sv.survival_amplitude(density, n / p.width, method="direct"))
-                for n in p.cross_check_lifetimes)
+    worst, bound = 0.0, 0.0
+    for n in p.cross_check_lifetimes:
+        t = n / p.width
+        exact, error = ex.survival_amplitude(density, t)
+        worst = max(worst, abs(sv.survival_amplitude(density, t) - exact))
+        bound = max(bound, error)
+    if not worst <= _CROSS_LIMIT:
+        raise QuadratureError(
+            f"the rotated contour and the closed form differ by {worst:.3e}, "
+            f"past {_CROSS_LIMIT:g}; nothing written")
     cols = ["t", "survival_probability", "exponential_law", "ratio"]
-    achieved = {"cross_method_max_diff": float(worst)}
+    achieved = {"cross_method_max_diff": float(worst), "exact_error_bound_max": float(bound)}
     return cols, rows, achieved
 
 

@@ -66,15 +66,19 @@ def energy_to_momentum(energy, sheet):
     The branch cut sits on the physical spectrum [0, inf).  With
     theta = arg(E) taken in [0, 2 pi), sheet I maps to
     sqrt(|E|) e^{i theta/2} (upper half plane including the positive
-    real boundary) and sheet II to its negative.
+    real boundary) and sheet II to its negative.  The root is
+    `cmath.sqrt(E)`, negated where it falls in the lower half plane, so
+    both parts of k keep their relative accuracy, Im k of a narrow pole
+    included; E = -a - 0i still maps to +i sqrt(a) on sheet I.
     """
     energy = complex(energy)
     if energy == 0:
         raise BranchPointError("E = 0 is the branch point; no momentum image")
     if not isinstance(sheet, Sheet):
         raise ConfigurationError(f"sheet must be a Sheet member, got {sheet!r}")
-    theta = np.angle(energy) % (2.0 * np.pi)
-    k = math.sqrt(abs(energy)) * np.exp(0.5j * theta)
+    k = cmath.sqrt(energy)
+    if k.imag < 0.0:
+        k = -k
     return k if sheet is Sheet.I else -k
 
 

@@ -10,17 +10,17 @@ exponential (Khalfin): the exponential era set by the resonance pole
 gives way to a power-law tail whose exponent is fixed by the threshold
 behavior of rho (rho ~ E^alpha at E -> 0+ gives |A|^2 ~ t^{-2(alpha+1)}).
 
-Two independent evaluation methods are provided.  "rotation" closes the
-contour onto the negative imaginary energy axis: the fourth-quadrant
-pole of rho contributes -2 pi i Res[rho(z) e^{-i z t}], taken in closed
-form since rho is rational, and the leg along the axis becomes a real
-Laplace-type endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.
-Every density holds one exp-sinh table of rho(-i u_j), built at
-construction, so the leg is the sum -i sum_j w_j rho(-i u_j) e^{-u_j t}
-for every t >= 0; its stride-doubling gap and the mass clipped at both
-ends of the table are checked on each evaluation.  The normalization is
-the same rotation at t = 0.  "direct" integrates the oscillatory
-integral with Fourier (QAWF) quadrature and serves as the cross-check.
+The amplitude closes the contour onto the negative imaginary energy
+axis: the fourth-quadrant pole of rho contributes
+-2 pi i Res[rho(z) e^{-i z t}], taken in closed form since rho is
+rational, and the leg along the axis becomes a real Laplace-type
+endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.  Every
+density holds one exp-sinh table of rho(-i u_j), built at construction,
+so the leg is the sum -i sum_j w_j rho(-i u_j) e^{-u_j t} for every
+t >= 0; its stride-doubling gap and the mass clipped at both ends of the
+table are checked on each evaluation.  The normalization is the same
+rotation at t = 0.  `exact.survival_amplitude` sums the same leg in
+closed form and serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from .errors import (
     RegimeError,
     WindowError,
 )
-# circle_residue is unused here; resobench/tracer.py wraps the benchmark
-# span at this name, and its self-tests require every wrapped site to resolve
-from .quadrature import circle_residue  # noqa: F401
-from .quadrature import complex_quad, decaying_fourier_quad, exp_sinh_rule
+# circle_residue, complex_quad and decaying_fourier_quad are unused here;
+# resobench/tracer.py wraps benchmark spans at these names, and its
+# self-tests require every wrapped site to resolve
+from .quadrature import circle_residue, complex_quad, decaying_fourier_quad  # noqa: F401
+from .quadrature import exp_sinh_rule
 from .surface import ResonancePole
 
 __all__ = [
@@ -206,24 +207,16 @@ def _rotation(density, t):
     )
 
 
-def survival_amplitude(density, t, method="rotation"):
-    """A(t) for t >= 0 by contour rotation or direct Fourier quadrature."""
+def survival_amplitude(density, t):
+    """A(t) for t >= 0 by contour rotation."""
     if not t >= 0.0:
         raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
-    if method == "rotation":
-        return complex(sum(_rotation(density, t)))
-    if method == "direct":
-        if t == 0.0:
-            value, _ = complex_quad(lambda e: density(e), 0.0, np.inf)
-        else:
-            value, _ = decaying_fourier_quad(lambda e: density(e), t)
-        return complex(value)
-    raise ConfigurationError(f"unknown method {method!r}")
+    return complex(sum(_rotation(density, t)))
 
 
-def survival_probability(density, t, method="rotation"):
+def survival_probability(density, t):
     """|A(t)|^2."""
-    return abs(survival_amplitude(density, t, method=method)) ** 2
+    return abs(survival_amplitude(density, t)) ** 2
 
 
 def exponential_law(density, t):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from resokit import exact
 from resokit.errors import ArrowOfTimeError
 from resokit.expansion import (
     PreparedState,
@@ -186,9 +187,10 @@ def test_criterion_5_khalfin_deviation():
 
     assert tail_exponent(density) == pytest.approx(-2.0, abs=0.1)
 
+    # the rotated contour against the closed form of resokit.exact
     for gt in (0.5, 1.0, 2.0):
-        a = survival_amplitude(density, gt / g, method="rotation")
-        b = survival_amplitude(density, gt / g, method="direct")
+        a = survival_amplitude(density, gt / g)
+        b = exact.survival_amplitude(density, gt / g).value
         assert abs(a - b) < 1e-9
     assert time.perf_counter() - started < 60.0
 

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +40,12 @@ class TestSurfaceMap:
         assert energy_to_momentum(e, Sheet.II) == pytest.approx(
             -energy_to_momentum(e, Sheet.I)
         )
+
+    def test_negative_axis_maps_to_plus_i_for_either_zero(self):
+        # cmath.sqrt(-1 - 0j) is -1j; sheet I still owns +1j there
+        for e in (complex(-4.0, 0.0), complex(-4.0, -0.0)):
+            assert energy_to_momentum(e, Sheet.I) == 2j
+            assert energy_to_momentum(e, Sheet.II) == -2j
 
     def test_positive_energy_rim(self):
         k = energy_to_momentum(4.0, Sheet.I)
@@ -81,6 +89,15 @@ class TestResonancePole:
         assert pole.momentum == pytest.approx(
             1.0012461141278124 - 0.04993777183700247j, abs=1e-14
         )
+
+    def test_narrow_momentum_keeps_relative_accuracy(self):
+        # sqrt(|E|) e^{i theta/2} carried Im k to 2.6e-10 relative here
+        pole = ResonancePole(energy=1.0, width=1e-6)
+        root = cmath.sqrt(pole.position)  # the fourth-quadrant root
+        k = pole.momentum
+        assert abs(k.real - root.real) <= 1e-15 * abs(root.real)
+        assert abs(k.imag - root.imag) <= 1e-15 * abs(root.imag)
+        assert energy_to_momentum(pole.position, Sheet.I) == -root
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

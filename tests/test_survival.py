@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from resokit import survival
+from resokit import exact, survival
 from resokit.cli import main
 from resokit.errors import (
     ArrowOfTimeError,
@@ -87,27 +88,21 @@ class TestDensity:
 class TestAmplitude:
     def test_starts_at_one(self, dens, dens_thresh):
         for d in (dens, dens_thresh):
-            for method in ("rotation", "direct"):
-                assert survival_amplitude(d, 0.0, method=method) == pytest.approx(
-                    1.0, abs=1e-9
-                )
+            assert survival_amplitude(d, 0.0) == pytest.approx(1.0, abs=1e-12)
+            assert exact.survival_amplitude(d, 0.0).value == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("gt", [0.5, 1.0, 2.0])
     def test_methods_agree(self, dens, narrow, gt):
+        # the rotated contour against the closed form (was QUADPACK, to 1e-9)
         t = gt / narrow.width
-        rot = survival_amplitude(dens, t, method="rotation")
-        direct = survival_amplitude(dens, t, method="direct")
-        assert abs(rot - direct) < 1e-9
+        closed = exact.survival_amplitude(dens, t).value
+        assert abs(survival_amplitude(dens, t) - closed) < 1e-12
 
     def test_forward_only(self, dens):
         with pytest.raises(ArrowOfTimeError):
             survival_amplitude(dens, -0.1)
         with pytest.raises(ArrowOfTimeError):
             exponential_law(dens, -0.1)
-
-    def test_unknown_method(self, dens):
-        with pytest.raises(ConfigurationError):
-            survival_amplitude(dens, 1.0, method="resummation")
 
     def test_probability_tracks_exponential_at_five_lifetimes(self, dens, narrow):
         t = 5.0 / narrow.width
@@ -229,6 +224,10 @@ class TestEndpointTable:
         probabilities = [float(line.split(",")[1]) for line in lines]
         assert len(probabilities) == 60
         assert all(0.0 <= p <= 1.0 for p in probabilities)
+        # QUADPACK's direct integral missed this line by 0.779
+        achieved = json.loads((out / "khalfin.manifest.json").read_text())["achieved"]
+        assert achieved["cross_method_max_diff"] < 1e-9
+        assert achieved["exact_error_bound_max"] < 1e-9
 
     def test_too_narrow_for_the_table(self, tmp_path, capsys):
         # at 708 lifetimes of a 1e-30 line the leg's mass sits below the
@@ -274,6 +273,101 @@ class TestEndpointTable:
         assert len(lines) == 60
         for line in lines:
             assert float(line.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+# mpmath values written by tests/survival_reference.py, which shares no
+# code with resokit: normalized amplitudes of all four shapes at width
+# 0.05, and the legs of the unnormalized shapes over a width sweep
+FROZEN = json.loads(Path(__file__).with_name("survival_reference.json").read_text())
+
+
+def _complex(pair):
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def _frozen_amplitudes(shape):
+    return [(row["lifetimes"], _complex(row["value"])) for row in FROZEN["amplitudes"]
+            if (row["alpha"], row["power"]) == shape]
+
+
+SHAPES = [(0, 1), (1, 2), (0, 2), (2, 2)]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("shape", sorted(REFERENCE))
+    def test_references_agree(self, shape):
+        # two mpmath scripts, one of them by partial fractions and quadrature
+        frozen = _frozen_amplitudes(shape)
+        assert [n for n, _ in frozen] == [n for n, _ in REFERENCE[shape]]
+        for (_, got), (_, ref) in zip(frozen, REFERENCE[shape]):
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_fifty_digit_reference(self, narrow, shape):
+        d = SpectralDensity(narrow, *shape)
+        for lifetimes, ref in _frozen_amplitudes(shape):
+            got = exact.survival_amplitude(d, lifetimes / narrow.width).value
+            assert abs(got - ref) <= 1e-13 * abs(ref), (lifetimes, got, ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_width_sweep_bounds_its_gap(self, shape):
+        # widths 1.9 to 1e-12, 0 to 708 lifetimes: the bound covers the leg
+        # and the final sum, so the gap is taken against the same pole term
+        rows = [row for row in FROZEN["legs"] if (row["alpha"], row["power"]) == shape]
+        assert len(rows) == 100
+        for row in rows:
+            d = SpectralDensity(ResonancePole(1.0, row["width"]), *shape)
+            t = row["lifetimes"] / row["width"]
+            res = exact.survival_amplitude(d, t)
+            reference = survival._pole_residues(d, t) + d.norm * _complex(row["leg"])
+            assert abs(res.value - reference) <= res.error <= 1e-9 * abs(res.value), row
+
+    def test_no_quadrature(self, narrow, monkeypatch):
+        d = SpectralDensity.threshold_weighted(narrow)
+        monkeypatch.setattr("resokit.quadrature.quad", _no_quadrature)
+        monkeypatch.setattr(survival, "_rotation", _no_quadrature)
+        for t in (0.0, 1.0, 1e3, 1e6):
+            assert abs(exact.survival_amplitude(d, t).value) > 0.0
+
+    def test_line_narrower_than_the_double_range(self):
+        # Gamma / E_R underflows to 0: the leg is 0 to the last bit, and the
+        # partial fractions, whose coefficients grow as 1 / gamma, must not run
+        d = SpectralDensity.truncated_lorentzian(ResonancePole(1e4, 1e-320))
+        t = 5e-4  # E_R t = 5, where the partial fractions would apply
+        res = exact.survival_amplitude(d, t)
+        assert res.value == survival._pole_residues(d, t)
+        assert abs(res.value - survival_amplitude(d, t)) < 1e-15
+
+    def test_inputs_checked(self, dens):
+        with pytest.raises(ArrowOfTimeError):
+            exact.survival_amplitude(dens, -1e-3)
+        with pytest.raises(ArrowOfTimeError):
+            exact.survival_amplitude(dens, float("nan"))
+        with pytest.raises(ConfigurationError):
+            exact.survival_amplitude(dens, float("inf"))
+        with pytest.raises(ConfigurationError):
+            exact.survival_amplitude(dens.resonance, 1.0)
+
+    def test_run_makes_no_quadpack_call(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("resokit.quadrature.quad", _no_quadrature)
+        assert main(["run", "khalfin", "--out-dir", str(tmp_path)]) == 0
+        achieved = json.loads((tmp_path / "khalfin.manifest.json").read_text())["achieved"]
+        assert achieved["cross_method_max_diff"] < 1e-12
+
+    def test_gate_trips_on_a_shifted_closed_form(self, tmp_path, capsys, monkeypatch):
+        closed = exact.survival_amplitude
+
+        def shifted(density, t):
+            res = closed(density, t)
+            return res._replace(value=res.value + 1e-8)
+
+        monkeypatch.setattr(exact, "survival_amplitude", shifted)
+        out = tmp_path / "out"
+        assert main(["run", "khalfin", "--out-dir", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "QuadratureError"
+        assert not out.exists()
 
 
 class TestTail:

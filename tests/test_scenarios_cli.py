@@ -213,7 +213,6 @@ class TestAchievedQuality:
         # the rotated contour against the closed form, gated at 1e-9 in the run
         achieved = runs["khalfin"][0]["achieved"]
         assert achieved["cross_method_max_diff"] < 1e-12
-        assert 0.0 < achieved["exact_error_bound_max"] < 1e-12
 
     def test_contour_check(self, runs):
         achieved = runs["contour_check"][0]["achieved"]

@@ -310,7 +310,6 @@ def principal_parts(psi, state, model):
             "phase makes the integrand transcendental"
         )
     dag_fn, wave_fn = _require_pair(psi, state)
-    dag, wave = _roots(dag_fn), _roots(wave_fn)
     blaschke, candidates = [], []
     for pole in model.poles:
         # the principal root of the fourth-quadrant position is k_i;
@@ -319,6 +318,13 @@ def principal_parts(psi, state, model):
         k = cmath.sqrt(z)
         blaschke += [(-k, 1), (k.conjugate(), 1), (k, -1), (-k.conjugate(), -1)]
         candidates += [(k, z), (-k.conjugate(), z.conjugate())]
+    return _parts(dag_fn, wave_fn, blaschke, candidates)
+
+
+def _parts(dag_fn, wave_fn, blaschke, candidates):
+    """`PrincipalParts` of G with the factors `blaschke` (none: S = 1) at
+    the (momentum, energy) `candidates` and the roots of the wave poles."""
+    dag, wave = _roots(dag_fn), _roots(wave_fn)
     for hardy in (dag_fn, wave_fn):
         for _, p, _ in hardy.terms:
             r = cmath.sqrt(p)

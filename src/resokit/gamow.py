@@ -29,7 +29,7 @@ from .errors import (
     HardyClassError,
 )
 from .hardy import HalfPlane, HardyFunction
-from .quadrature import complex_quad_full_line
+from .quadrature import integrate_lorentzian
 from .surface import ResonancePole
 
 __all__ = [
@@ -93,6 +93,18 @@ def _require_upper(psi):
         )
 
 
+def _line_integral(f, ket):
+    """integral f(E) amp(E) dE over the full line, by quadrature: with bw
+    the pole's unit Lorentzian, amp(E) = i sqrt(2 pi / Gamma) (E - conj z)
+    bw(E), and f(E) (E - conj z) must stay bounded."""
+    pole = ket.pole
+    lead = 1j * math.sqrt(2.0 * math.pi / pole.width)
+    zbar = ket.eigenvalue.conjugate()
+    value, _ = integrate_lorentzian(lambda e: f(e) * lead * (e - zbar),
+                                    pole.energy, pole.width, full_line=True)
+    return complex(value)
+
+
 def pairing(psi, ket, method="cauchy"):
     """<psi | ket> = integral conj(psi(E)) amp(E) dE over the full line.
 
@@ -107,8 +119,7 @@ def pairing(psi, ket, method="cauchy"):
     if method == "cauchy":
         return -2j * np.pi * ket.amplitude_scale * dag(ket.eigenvalue)
     if method == "quadrature":
-        value, _ = complex_quad_full_line(lambda e: dag(e) * ket.amplitude(e))
-        return value
+        return _line_integral(dag, ket)
     raise ConfigurationError(f"unknown pairing method {method!r}")
 
 
@@ -124,15 +135,10 @@ def energy_weighted_pairing(psi, ket):
     _require_upper(psi)
     dag = psi.conjugated()
     if psi.decay_order >= 2:
-        value, _ = complex_quad_full_line(
-            lambda e: dag(e) * e * ket.amplitude(e)
-        )
-        return value
+        return _line_integral(lambda e: dag(e) * e, ket)
     # E amp(E) = scale + z amp(E) exactly; the constant part integrates
     # against psi-dagger to its principal-value line moment.
-    regular, _ = complex_quad_full_line(
-        lambda e: dag(e) * ket.eigenvalue * ket.amplitude(e)
-    )
+    regular = _line_integral(lambda e: dag(e) * ket.eigenvalue, ket)
     return ket.amplitude_scale * dag.line_moment() + regular
 
 
@@ -153,5 +159,4 @@ def eigen_pairing_check(psi, ket):
 
 def norm_check(ket):
     """Full-line integral of |amp|^2; exactly 1 in exact arithmetic."""
-    value, _ = complex_quad_full_line(lambda e: abs(ket.amplitude(e)) ** 2)
-    return float(value.real)
+    return _line_integral(lambda e: np.conj(ket.amplitude(e)), ket).real

@@ -20,7 +20,6 @@ so it is the natural "dagger" partner in pairings.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +87,6 @@ class HardyFunction:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def __call__(self, z):
-        if isinstance(z, numbers.Number):
-            try:
-                return self._scalar(complex(z))
-            except (OverflowError, ZeroDivisionError):
-                pass  # the array path returns numpy's inf/nan instead
         z_arr = np.asarray(z, dtype=complex)
         for _, p, _ in self.terms:
             if np.any(z_arr == p):
@@ -101,17 +95,6 @@ class HardyFunction:
         for c, p, n in self.terms:
             out = out + c / (z_arr - p) ** n
         return out if out.shape else complex(out)
-
-    def _scalar(self, z):
-        """The array formula above in plain complex arithmetic, for the
-        per-abscissa callbacks of adaptive quadrature."""
-        for _, p, _ in self.terms:
-            if z == p:
-                raise DomainError(f"evaluation at pole {p}")
-        out = 0j
-        for c, p, n in self.terms:
-            out = out + c / (z - p) ** n
-        return out
 
     def conjugated(self):
         """Schwarz reflection: conj coefficients and poles, flipped class.

@@ -1,17 +1,17 @@
 """Quadrature kernels used across the package.
 
 Four kinds of rule live here.  `integrate_lorentzian` integrates a
-smooth factor against a unit Lorentzian on (0, inf) by a nested
-tanh-sinh ladder on the Lorentzian's angle, at a cost that does not grow
-as the line narrows.  The exp-sinh rule on (0, inf) produces an
+smooth factor against a unit Lorentzian on (0, inf) or the whole line by
+a nested tanh-sinh ladder on the Lorentzian's angle, at a cost that does
+not grow as the line narrows.  The exp-sinh rule on (0, inf) produces an
 explicit node/weight table.  `exp_sinh_table` is the one place such a
 table is refined: it walks a dyadic ladder of steps on which each level
 is exactly the even-index subset of the next, evaluates the integrand
 once per node, and stops when the stride-doubling gap is at the 1e-12
 level; it takes no step or tolerance argument.  The contour-deformation
 code stores it immutably and reuses it for every evolution time.  The scipy wrappers
-adapt ``scipy.integrate.quad`` to complex integrands, full-line
-integrals and oscillatory Fourier weights; their separate real/imaginary
+adapt ``scipy.integrate.quad`` to complex integrands on intervals and
+half lines and to oscillatory Fourier weights; their separate real/imaginary
 (and cos/sin) passes share one evaluation of the integrand per abscissa.
 The midpoint rule on a circle gives contour residues.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "integrate_exp_sinh",
     "integrate_lorentzian",
     "complex_quad",
-    "complex_quad_full_line",
     "oscillatory_quad",
     "decaying_fourier_quad",
     "circle_residue",
@@ -140,29 +139,33 @@ def _tanh_sinh_level(level):
     return out
 
 
-def integrate_lorentzian(f, energy, width):
-    """Integral over (0, inf) of f(E) bw(E) dE and its error, for the unit
-    Lorentzian bw(E) = (width / 2 pi) / ((E - energy)^2 + width^2 / 4)
-    and a smooth factor f.
+def integrate_lorentzian(f, energy, width, full_line=False):
+    """Integral over (0, inf), or over the whole line with full_line, of
+    f(E) bw(E) dE and its error, for the unit Lorentzian
+    bw(E) = (width / 2 pi) / ((E - energy)^2 + width^2 / 4) and a smooth
+    factor f.
 
     E = energy + (width / 2) tan(theta) turns bw dE into dtheta / pi on
-    (-atan(2 energy / width), pi / 2), where f varies only near the two
-    ends; a nested tanh-sinh ladder on theta resolves those at a cost of
-    log(energy / width).  Each node's E comes from its distance delta to
-    the nearer end: E = energy + (width / 2) / tan(delta) near pi / 2, and
+    (-atan(2 energy / width), pi / 2), or on (-pi / 2, pi / 2) for the
+    whole line, where f varies only near the two ends; a nested tanh-sinh
+    ladder on theta resolves those at a cost of log(energy / width).  Each
+    node's E comes from its distance delta to the nearer end:
+    E = energy +- (width / 2) / tan(delta) near +-pi / 2, and
     E = (energy + b width / 2) / (1 + b / tan(delta)) with
-    b = width / (2 energy) near the lower end, so E keeps its relative
-    accuracy at both.
+    b = width / (2 energy) near the lower end of the half line, so E keeps
+    its relative accuracy at both.
 
-    f must accept an ndarray of positive energies.  Each level evaluates
-    f only at its new nodes; refinement stops when the sum moves by at
-    most 1e-12 (1 + |sum|) from the level before, and past level 8 it
-    raises QuadratureError.  Returns (value, gap) with gap that last move.
+    f must accept an ndarray of real energies, positive ones on the half
+    line.  Each level evaluates f only at its new nodes; refinement stops
+    when the sum moves by at most 1e-12 (1 + |sum|) from the level before,
+    and past level 8 it raises QuadratureError.  Returns (value, gap) with
+    gap that last move.
     """
     if not (0.0 < energy < np.inf and 0.0 < width < np.inf):
         raise QuadratureError(
             f"Lorentzian needs finite positive energy and width, got {energy}, {width}")
-    b = 0.5 * width / energy
+    # b = 0 puts the lower end of the theta interval at -pi / 2
+    b = 0.0 if full_line else 0.5 * width / energy
     half = 0.5 * (np.pi - np.arctan(b))  # half the length of the theta interval
     acc = 0.0
     nodes = 0
@@ -171,8 +174,9 @@ def integrate_lorentzian(f, energy, width):
         upper, rho, omega = _tanh_sinh_level(level)
         nodes += rho.size
         cot = 1.0 / np.tan(half * rho)
-        e = np.where(upper, energy + 0.5 * width * cot,
-                     (energy + 0.5 * width * b) / (1.0 + b * cot))
+        lower = (energy - 0.5 * width * cot if full_line
+                 else (energy + 0.5 * width * b) / (1.0 + b * cot))
+        e = np.where(upper, energy + 0.5 * width * cot, lower)
         acc += np.sum(omega * f(e))
         prev, total = total, acc * half * (_TS_STEP / 2**level) / np.pi
         if prev is not None:
@@ -212,14 +216,6 @@ def complex_quad(f, a, b, **kwargs):
     kwargs.setdefault("limit", 400)
     (re, re_err), (im, im_err) = _part_quads(f, a, b, **kwargs)
     return re + 1j * im, re_err + im_err
-
-
-def complex_quad_full_line(f, **kwargs):
-    """Integral of complex f over the whole real line."""
-    kwargs.setdefault("limit", 800)
-    kwargs.setdefault("epsabs", 1e-12)
-    kwargs.setdefault("epsrel", 1e-12)
-    return complex_quad(f, -np.inf, np.inf, **kwargs)
 
 
 def _fourier_parts(f, upper, omega, **kwargs):

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +107,9 @@ class ResonancePole:
     def __post_init__(self):
         if not (self.energy > 0.0 and np.isfinite(self.energy)):
             raise ConfigurationError(f"resonance energy must be > 0, got {self.energy}")
-        if not (self.width > 0.0 and np.isfinite(self.width)):
-            raise ConfigurationError(f"resonance width must be > 0, got {self.width}")
+        # width / 2 > 0: half the smallest subnormal would put the pole on the axis
+        if not (0.5 * self.width > 0.0 and np.isfinite(self.width)):
+            raise ConfigurationError(f"resonance width / 2 must be > 0, got {self.width}")
         if self.width >= 2.0 * self.energy:
             raise ConfigurationError(
                 "width/2 must stay below the resonance energy so the pole "
@@ -168,12 +167,6 @@ class BackgroundPhase:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def phase(self, k):
-        if isinstance(k, numbers.Number):
-            k = complex(k)
-            out = 0j
-            for c, a, b in self.terms:
-                out = out + c * 2.0 * (k - a) / ((k - a) * (k - a) + b * b)
-            return out
         k = np.asarray(k, dtype=complex)
         out = np.zeros_like(k)
         for c, a, b in self.terms:
@@ -242,10 +235,9 @@ class SMatrixModel:
         return self._singularities
 
     def eval(self, k):
-        """S(k) for scalar or array k; rejects points at pole distance
-        below `_PROXIMITY` relative to the pole scale."""
-        if isinstance(k, numbers.Number):
-            return self._scalar(complex(k))
+        """S(k), elementwise for an array k and a Python complex for a
+        scalar; rejects points at pole distance below `_PROXIMITY`
+        relative to the pole scale."""
         k_arr = np.asarray(k, dtype=complex)
         for s, radius in self._guards:
             d = np.abs(k_arr - s)
@@ -263,26 +255,6 @@ class SMatrixModel:
             out = out * np.exp(2j * self.background.phase(k_arr))
         return out if out.shape else complex(out)
 
-    def _scalar(self, k):
-        """`eval` for one complex k in plain complex arithmetic, with the
-        same proximity guard, for the per-abscissa callbacks of adaptive
-        quadrature."""
-        for s, radius in self._guards:
-            d = abs(k - s)
-            if d < radius:
-                raise PoleProximityError(
-                    f"evaluation within {_PROXIMITY:g} of pole {s}",
-                    pole=s,
-                    distance=d,
-                )
-        out = 1 + 0j
-        for kp, kc in self._factors:
-            out = out * (k + kp) * (k - kc)
-            out = out / ((k - kp) * (k + kc))
-        if self.background is not None:
-            out = out * cmath.exp(2j * self.background.phase(k))
-        return out
-
     def eval_energy(self, energy, sheet):
         return self.eval(energy_to_momentum(energy, sheet))
 
@@ -293,11 +265,6 @@ class SMatrixModel:
         factor evaluates to 1 there), so it is allowed even though the
         surface map is singular at the branch point.
         """
-        if isinstance(energy, numbers.Number):
-            energy = float(energy)
-            if energy < 0.0:
-                raise BranchPointError("physical spectrum evaluation needs E >= 0")
-            return self.eval(math.sqrt(energy))
         energy = np.asarray(energy, dtype=float)
         if np.any(energy < 0.0):
             raise BranchPointError("physical spectrum evaluation needs E >= 0")

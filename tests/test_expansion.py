@@ -110,6 +110,22 @@ class TestDirectPairing:
         alt = np.sum(w * dag(u) * state.wave(u))
         assert value == pytest.approx(alt, rel=1e-12)
 
+    def test_narrow_wave_pole_against_mpmath(self, psi):
+        # a wave pole 1e-6 above the axis, where QUADPACK was off by 1.09
+        # relative; the reference is mpmath.quad at 40 digits with
+        # breakpoints down to 1e-8 around E = 1
+        wave = HardyFunction(((1, 1 + 1e-6j, 1), (0.5, 2 + 1j, 2)), HalfPlane.LOWER)
+        ref = 0.1291570720169725396229783611840 - 0.0876928819774842993646248528895j
+        assert abs(dirac_pairing(psi, wave) - ref) <= 1e-12 * abs(ref)
+
+    def test_cancelling_poles_raise(self):
+        # dual and state poles 1e-6 apart: their principal parts cancel past
+        # the 1e-9 bound, as in the closed-form S-matrix pairing
+        dual = HardyFunction(((1.0, 1.0 - 0.1j, 1),), HalfPlane.UPPER)
+        wave = HardyFunction(((1.0, 1.0 + 1e-6 + 0.1j, 1),), HalfPlane.LOWER)
+        with pytest.raises(QuadratureError):
+            dirac_pairing(dual, wave)
+
     def test_wrong_classes_rejected(self, psi, phi, state, model):
         with pytest.raises(HardyClassError):
             dirac_pairing(phi, state)

@@ -6,6 +6,7 @@ from resokit.errors import (
     ConfigurationError,
     HardyClassError,
 )
+from resokit.expansion import dirac_pairing
 from resokit.gamow import (
     GamowKet,
     eigen_pairing_check,
@@ -13,6 +14,7 @@ from resokit.gamow import (
     norm_check,
     pairing,
 )
+from resokit.surface import ResonancePole
 
 
 class TestAmplitude:
@@ -29,6 +31,9 @@ class TestAmplitude:
 
     def test_unit_norm(self, ket):
         assert norm_check(ket) == pytest.approx(1.0, abs=1e-10)
+        # QUADPACK's full-line integral missed lines this narrow
+        narrow = GamowKet(ResonancePole(energy=1.0, width=1e-6))
+        assert norm_check(narrow) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitude_scale_phase(self, ket, pole):
         s = ket.amplitude_scale
@@ -67,16 +72,24 @@ class TestEvolution:
             )
 
 
+def _with_narrow_lines(ket):
+    # QUADPACK returned about half the Cauchy value at width 1e-6 while it
+    # reported an error of 2e-13
+    return [ket] + [GamowKet(ResonancePole(energy=1.0, width=w)) for w in (1e-3, 1e-6)]
+
+
 class TestPairing:
     def test_cauchy_matches_quadrature(self, psi, ket):
-        cauchy = pairing(psi, ket, method="cauchy")
-        brute = pairing(psi, ket, method="quadrature")
-        assert cauchy == pytest.approx(brute, rel=1e-9)
+        for k in _with_narrow_lines(ket):
+            cauchy = pairing(psi, k, method="cauchy")
+            brute = pairing(psi, k, method="quadrature")
+            assert cauchy == pytest.approx(brute, rel=1e-9)
 
     def test_cauchy_matches_quadrature_order_one(self, psi_order1, ket):
-        cauchy = pairing(psi_order1, ket, method="cauchy")
-        brute = pairing(psi_order1, ket, method="quadrature")
-        assert cauchy == pytest.approx(brute, rel=1e-8)
+        for k in _with_narrow_lines(ket):
+            cauchy = pairing(psi_order1, k, method="cauchy")
+            brute = pairing(psi_order1, k, method="quadrature")
+            assert cauchy == pytest.approx(brute, rel=1e-8)
 
     def test_frozen_value(self, psi, ket):
         assert pairing(psi, ket) == pytest.approx(
@@ -119,3 +132,16 @@ class TestEigenvalueRelation:
         assert weighted == pytest.approx(
             ket.eigenvalue * pairing(psi, ket), rel=1e-8
         )
+
+
+def test_entry_points_run_without_quadpack(psi, psi_order1, phi, ket, monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("called QUADPACK")
+
+    monkeypatch.setattr("resokit.quadrature.quad", no_quad)
+    for dual in (psi, psi_order1):
+        pairing(dual, ket, method="quadrature")
+        energy_weighted_pairing(dual, ket)
+        eigen_pairing_check(dual, ket)
+        dirac_pairing(dual, phi)
+    norm_check(ket)

@@ -6,7 +6,6 @@ from resokit.errors import QuadratureError
 from resokit.quadrature import (
     circle_residue,
     complex_quad,
-    complex_quad_full_line,
     decaying_fourier_quad,
     exp_sinh_rule,
     exp_sinh_table,
@@ -162,9 +161,18 @@ def test_complex_quad_matches_parts():
     assert val == pytest.approx(1.0 + 1j * 1.0, abs=1e-12)
 
 
-def test_complex_quad_full_line_lorentzian():
-    val, _ = complex_quad_full_line(lambda x: 1.0 / (x * x + 4.0))
-    assert val == pytest.approx(np.pi / 2.0, abs=1e-11)
+@pytest.mark.parametrize("width", [1.9, 0.2, 1e-3, 1e-6])
+def test_lorentzian_full_line_against_closed_form(width):
+    # f analytic and bounded below the axis: closing there leaves only the
+    # pole z = E_R - i G / 2 of bw, so the line integral of f bw is f(z)
+    w = 0.3 + 0.7j
+    z = 1.0 - 0.5j * width
+    for f, want in [(np.ones_like, 1.0),
+                    (lambda e: 1.0 / (e - w), 1.0 / (z - w)),
+                    (lambda e: e * e / (e - w) ** 2, z * z / (z - w) ** 2)]:
+        value, err = integrate_lorentzian(f, 1.0, width, full_line=True)
+        assert abs(value - want) <= 1e-13 * abs(want)
+        assert err <= 1e-12 * (1.0 + abs(value))
 
 
 def test_oscillatory_quad_against_plain():

@@ -265,10 +265,10 @@ class TestAchievedQuality:
 
     def test_checks_run_without_quadpack(self, tmp_path, monkeypatch):
         def no_quad(*args, **kwargs):
-            raise AssertionError("an expansion check called QUADPACK")
+            raise AssertionError("a built-in scenario called QUADPACK")
 
         monkeypatch.setattr("resokit.quadrature.quad", no_quad)
-        for name in ("kaon_pair", "contour_check"):
+        for name in (row["name"] for row in list_scenarios()):
             manifest = run_scenario(load_config(name), out_dir=tmp_path / name)
             assert manifest["rows_written"] > 0
 
@@ -525,6 +525,9 @@ class TestCli:
          ("khalfin", {"energy": 1.0, "width": 1e-310}, [], 2, "parameters.lifetimes_max"),
          ("khalfin", {"energy": 1.0, "width": 0.05, "cross_check_lifetimes": []}, [], 2,
           "parameters.cross_check_lifetimes"),
+         ("khalfin", {"energy": 1.0, "width": 5e-324, "lifetimes_min": 1e-17,
+                      "lifetimes_max": 1e-16, "cross_check_lifetimes": [1e-17]}, [], 2,
+          "parameters"),
          ("single_resonance", {"energy": 1.0, "width": 1e-310}, [], 2,
           "parameters.lifetimes"),
          ("single_resonance", {"energy": 1.0, "width": 0.2, "points": 2**70}, [], 2,
@@ -546,7 +549,8 @@ class TestCli:
          ("khalfin", '{"energy": 1%s, "width": 0.05}' % ("0" * 5000), [], 2, None)],
         ids=["khalfin_unknown_key", "khalfin_unknown_tolerance",
              "khalfin_tiny_width",
-             "khalfin_no_cross_checks", "single_tiny_width", "single_points", "two_points",
+             "khalfin_no_cross_checks", "khalfin_underflowing_width",
+             "single_tiny_width", "single_points", "two_points",
              "contour_far", "contour_bad_wave", "contour_leakage_tolerance",
              "histories_scale", "histories_levels", "config_is_directory",
              "config_huge_integer"],

@@ -71,7 +71,7 @@ def breit_wigner_density(resonance, energy):
 
 @dataclass(frozen=True)
 class FormFactor:
-    """Serializable spectral weight w(E) = E / (E / cutoff + 1)^4.
+    """Spectral weight w(E) = E / (E / cutoff + 1)^4.
 
     Vanishes at threshold, peaks near cutoff / 3 and decays like E^-3,
     comfortably inside the E^-2 integrability contract.
@@ -87,15 +87,6 @@ class FormFactor:
         e = np.asarray(energy, dtype=float)
         out = e / (e / self.cutoff + 1.0) ** 4
         return out if out.shape else float(out)
-
-    def to_dict(self):
-        return {"kind": "threshold_cutoff", "cutoff": self.cutoff}
-
-    @classmethod
-    def from_dict(cls, data):
-        if data.get("kind") != "threshold_cutoff":
-            raise ConfigurationError(f"unknown form factor kind {data.get('kind')!r}")
-        return cls(cutoff=float(data["cutoff"]))
 
 
 @dataclass(frozen=True)
@@ -157,16 +148,6 @@ class Detector:
 
     def labels(self):
         return tuple(self._eff)
-
-    def to_dict(self):
-        out = {}
-        for label, eff in self._eff.items():
-            if callable(eff):
-                raise ConfigurationError(
-                    "callable efficiencies are not serializable; tabulate first"
-                )
-            out[label] = float(eff)
-        return out
 
 
 @dataclass(frozen=True)

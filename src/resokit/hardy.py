@@ -145,27 +145,6 @@ class HardyFunction:
         sign = -1.0 if self.half_plane is HalfPlane.UPPER else 1.0
         return sign * 1j * np.pi * c1
 
-    def to_dict(self):
-        return {
-            "half_plane": self.half_plane.value,
-            "terms": [
-                {"re": c.real, "im": c.imag, "pole_re": p.real, "pole_im": p.imag, "order": n}
-                for c, p, n in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        terms = tuple(
-            (
-                complex(t["re"], t.get("im", 0.0)),
-                complex(t["pole_re"], t["pole_im"]),
-                int(t.get("order", 1)),
-            )
-            for t in data["terms"]
-        )
-        return cls(terms=terms, half_plane=HalfPlane(data["half_plane"]))
-
 
 def _grid_spectrum(wf, e_max, n):
     """(de, tau, fft of f sampled on n points over [-e_max, e_max))."""

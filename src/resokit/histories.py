@@ -58,8 +58,8 @@ def _close(a, b, atol):
     return np.abs(a - b).max() <= atol
 
 
-def validate_density(rho):
-    """Hermitian, unit trace, positive semidefinite (within 1e-12)."""
+def _density_spectrum(rho):
+    """rho checked as a density matrix, with its eigenvalues."""
     rho = _square(rho, "a density matrix")
     if not _close(rho, rho.conj().T, _ATOL):
         raise ConfigurationError("density matrix is not hermitian")
@@ -69,7 +69,12 @@ def validate_density(rho):
     w = np.linalg.eigvalsh(rho)
     if np.min(w) < -1e-10:
         raise ConfigurationError(f"density matrix has eigenvalue {np.min(w):.3e} < 0")
-    return rho
+    return rho, w
+
+
+def validate_density(rho):
+    """Hermitian, unit trace, positive semidefinite (within 1e-12)."""
+    return _density_spectrum(rho)[0]
 
 
 def validate_projector(p):
@@ -179,8 +184,7 @@ def collapse_selective(rho, projector):
 
 def entropy(rho):
     """von Neumann entropy -sum lambda ln lambda (natural log)."""
-    rho = validate_density(rho)
-    w = np.linalg.eigvalsh(rho)
+    _, w = _density_spectrum(rho)
     w = np.clip(w.real, 1e-14, None)
     w = w / np.sum(w)
     return float(-np.sum(w * np.log(w)))

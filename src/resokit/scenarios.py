@@ -11,7 +11,6 @@ copies the outputs into a golden directory for regression pinning.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import hashlib
 import json
@@ -35,12 +34,13 @@ from . import survival as sv
 from .errors import (
     ConfigurationError,
     DomainError,
+    HardyClassError,
     OutputError,
     QuadratureError,
     SchemaError,
 )
 from .gamow import GamowKet
-from .hardy import HardyFunction
+from .hardy import HalfPlane, HardyFunction
 from .surface import ResonancePole, SMatrixModel
 
 __all__ = ["KINDS", "list_scenarios", "load_config", "run_scenario"]
@@ -54,15 +54,28 @@ _SPOTS = (0.0, 1.0, 3.0)  # two_resonance's exact checks, in lifetimes
 # closed-form amplitude
 _CROSS_LIMIT = 1e-9
 
-# One key of a config object.  type is number, int, numbers (a nonempty
-# list of numbers), poles (a nonempty list of {energy, width} objects)
-# or wave (a HardyFunction object); gt, ge and le bound every number,
-# and every number is finite.
+# One key of a config object.  type is number, int, half_plane ("upper"
+# or "lower"), an object type of _OBJECTS, or a list type of _LISTS (a
+# nonempty list of its item type); gt, ge and le bound every number, and
+# every number is finite.
 _Field = namedtuple("_Field", "name type default gt ge le",
                     defaults=(_REQUIRED, None, None, None))
 
 _ENERGY = _Field("energy", "number", gt=0.0)
 _WIDTH = _Field("width", "number", gt=0.0)
+# each object type: its field table and what its validated dict builds;
+# a constructor's refusal is a schema error at the object's path
+_OBJECTS = {
+    "pole": ((_ENERGY, _WIDTH), lambda d: ResonancePole(**d)),
+    "term": ((_Field("re", "number"), _Field("im", "number", 0.0),
+              _Field("pole_re", "number"), _Field("pole_im", "number"),
+              _Field("order", "int", 1, ge=1)),
+             lambda d: (complex(d["re"], d["im"]), complex(d["pole_re"], d["pole_im"]),
+                        d["order"])),
+    "wave": ((_Field("half_plane", "half_plane"), _Field("terms", "terms")),
+             lambda d: HardyFunction(**d)),
+}
+_LISTS = {"numbers": "number", "poles": "pole", "terms": "term"}
 _EXPANSION = (
     _Field("resonances", "poles"),
     _Field("dual", "wave", {"half_plane": "upper", "terms": [
@@ -128,27 +141,21 @@ def _object(data, fields, path):
 
 def _value(f, value, path):
     """Validate one value of field f."""
-    if f.type in ("numbers", "poles"):
+    if f.type in _LISTS:
         if not isinstance(value, list) or not value:
             raise SchemaError("expected a nonempty list", path=path)
-        item = f._replace(type="number" if f.type == "numbers" else "pole")
-        out = [_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-        return out if f.type == "numbers" else tuple(out)
-    if f.type == "pole":
+        item = f._replace(type=_LISTS[f.type])
+        return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if f.type in _OBJECTS:
+        fields, build = _OBJECTS[f.type]
         try:
-            return ResonancePole(**_object(value, (_ENERGY, _WIDTH), path))
-        except ConfigurationError as exc:
+            return build(_object(value, fields, path))
+        except (ConfigurationError, HardyClassError) as exc:
             raise SchemaError(str(exc), path=path) from exc
-    if f.type == "wave":
-        if not isinstance(value, dict):
-            raise SchemaError("expected a wave-function object", path=path)
-        try:
-            wave = HardyFunction.from_dict(value)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed wave function: {exc}", path=path) from exc
-        if not all(cmath.isfinite(c) and cmath.isfinite(q) for c, q, _ in wave.terms):
-            raise SchemaError("expected finite coefficients and poles", path=path)
-        return wave
+    if f.type == "half_plane":
+        if value not in ("upper", "lower"):
+            raise SchemaError(f"expected \"upper\" or \"lower\", got {value!r}", path=path)
+        return HalfPlane(value)
     integral = f.type == "int"
     if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
         raise SchemaError(f"expected {'an integer' if integral else 'a number'},"

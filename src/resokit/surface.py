@@ -130,13 +130,6 @@ class ResonancePole:
     def lifetime(self):
         return 1.0 / self.width
 
-    def to_dict(self):
-        return {"energy": self.energy, "width": self.width}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(energy=float(data["energy"]), width=float(data["width"]))
-
 
 @dataclass(frozen=True)
 class BackgroundPhase:
@@ -179,13 +172,6 @@ class BackgroundPhase:
         for _, a, b in self.terms:
             pts.extend([a + 1j * b, a - 1j * b])
         return tuple(pts)
-
-    def to_dict(self):
-        return {"terms": [list(t) for t in self.terms]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(terms=tuple(tuple(t) for t in data.get("terms", ())))
 
 
 # S refuses momenta within this distance of a pole, relative to the
@@ -269,20 +255,6 @@ class SMatrixModel:
         if np.any(energy < 0.0):
             raise BranchPointError("physical spectrum evaluation needs E >= 0")
         return self.eval(np.sqrt(energy))
-
-    def to_dict(self):
-        d = {"poles": [p.to_dict() for p in self.poles]}
-        if self.background is not None and self.background.terms:
-            d["background"] = self.background.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, data):
-        poles = tuple(ResonancePole.from_dict(p) for p in data["poles"])
-        bg = None
-        if data.get("background"):
-            bg = BackgroundPhase.from_dict(data["background"])
-        return cls(poles=poles, background=bg)
 
 
 def blaschke_residue(model, index):

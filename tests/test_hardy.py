@@ -95,9 +95,6 @@ class TestHardyFunction:
         assert mixed.decay_order == 1
         assert mixed.inverse_energy_coefficient == 0.5 + 0.2j
 
-    def test_json_round_trip(self, psi_order1):
-        assert HardyFunction.from_dict(psi_order1.to_dict()) == psi_order1
-
     @given(terms=upper_terms)
     @settings(max_examples=100, deadline=None)
     def test_conjugation_is_pointwise_conj_on_real_axis(self, terms):

@@ -51,6 +51,15 @@ def run_cli(args):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
+def contour_state(term, **wave):
+    """contour_check parameters whose state wave has the one term given."""
+    return {"resonances": [{"energy": 1.0, "width": 0.2}],
+            "state": {"half_plane": "lower", "terms": [term], **wave}}
+
+
+STATE_TERM = {"re": 1.0, "pole_re": 1.5, "pole_im": 0.8}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Run every builtin once and keep (manifest, out_dir) per name."""
@@ -539,7 +548,19 @@ class TestCli:
                             "times_lifetimes": [1e300]}, [], 1, None),
          ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
                             "dual": {"half_plane": "sideways", "terms": []}}, [], 2,
-          "parameters.dual"),
+          "parameters.dual.half_plane"),
+         ("contour_check", contour_state({**STATE_TERM, "order": 2.7}), [], 2,
+          "parameters.state.terms[0].order"),
+         ("contour_check", contour_state({**STATE_TERM, "order": True}), [], 2,
+          "parameters.state.terms[0].order"),
+         ("contour_check", contour_state({**STATE_TERM, "order": "2"}), [], 2,
+          "parameters.state.terms[0].order"),
+         ("contour_check", contour_state({**STATE_TERM, "re": True}), [], 2,
+          "parameters.state.terms[0].re"),
+         ("contour_check", contour_state({**STATE_TERM, "zzz": 1}), [], 2,
+          "parameters.state.terms[0].zzz"),
+         ("contour_check", contour_state(STATE_TERM, zzz=1), [], 2,
+          "parameters.state.zzz"),
          ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
                             "tolerances": {"leakage": 1e-5}}, [], 2,
           "parameters.tolerances"),
@@ -551,7 +572,9 @@ class TestCli:
              "khalfin_tiny_width",
              "khalfin_no_cross_checks", "khalfin_underflowing_width",
              "single_tiny_width", "single_points", "two_points",
-             "contour_far", "contour_bad_wave", "contour_leakage_tolerance",
+             "contour_far", "contour_bad_wave", "wave_fractional_order",
+             "wave_boolean_order", "wave_string_order", "wave_boolean_re",
+             "wave_term_unknown_key", "wave_unknown_key", "contour_leakage_tolerance",
              "histories_scale", "histories_levels", "config_is_directory",
              "config_huge_integer"],
     )

@@ -114,9 +114,6 @@ class TestResonancePole:
             ResonancePole(energy=1.0, width=5e-324)
         assert ResonancePole(energy=1.0, width=1e-323).position.imag < 0.0
 
-    def test_json_round_trip(self, pole):
-        assert ResonancePole.from_dict(pole.to_dict()) == pole
-
 
 class TestSMatrixModel:
     def test_needs_poles(self):
@@ -156,11 +153,6 @@ class TestSMatrixModel:
     def test_pole_proximity_guard(self, model, pole):
         with pytest.raises(PoleProximityError):
             model.eval(pole.momentum)
-
-    def test_json_round_trip(self, model_two):
-        clone = SMatrixModel.from_dict(model_two.to_dict())
-        k = 0.7 + 0.2j
-        assert clone.eval(k) == pytest.approx(model_two.eval(k))
 
 
 class TestPoleLocation:

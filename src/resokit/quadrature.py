@@ -1,33 +1,34 @@
 """Quadrature kernels used across the package.
 
-Four kinds of rule live here.  `integrate_lorentzian` integrates a
-smooth factor against a unit Lorentzian on (0, inf) or the whole line by
-a nested tanh-sinh ladder on the Lorentzian's angle, at a cost that does
-not grow as the line narrows.  The exp-sinh rule on (0, inf) produces an
-explicit node/weight table.  `exp_sinh_table` is the one place such a
-table is refined: it walks a dyadic ladder of steps on which each level
-is exactly the even-index subset of the next, evaluates the integrand
-once per node, and stops when the stride-doubling gap is at the 1e-12
-level; it takes no step or tolerance argument.  The contour-deformation
-code stores it immutably and reuses it for every evolution time.  The scipy wrappers
-adapt ``scipy.integrate.quad`` to complex integrands on intervals and
-half lines and to oscillatory Fourier weights; their separate real/imaginary
-(and cos/sin) passes share one evaluation of the integrand per abscissa.
-The midpoint rule on a circle gives contour residues.
+`integrate_lorentzian` integrates a smooth factor against a unit
+Lorentzian on (0, inf) or the whole line by a nested tanh-sinh ladder on
+the Lorentzian's angle, at a cost that does not grow as the line narrows.
+`LaplaceTable` freezes a Laplace integral of f(x) e^{-r(x) t} on one
+nested exp-sinh rule and sums it at any t >= 0 under one error bound and
+one gate; the survival leg, the expansion background and
+`integrate_exp_sinh` share it.  The scipy wrappers adapt
+``scipy.integrate.quad`` to complex integrands on intervals and half
+lines and to oscillatory Fourier weights; their real/imaginary (and
+cos/sin) passes share one evaluation of the integrand per abscissa.  The
+midpoint rule on a circle gives contour residues.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import ConfigurationError, DomainError, QuadratureError
 
 __all__ = [
     "exp_sinh_rule",
-    "exp_sinh_table",
+    "LAPLACE_RULE",
+    "laplace_sample",
+    "LaplaceTable",
     "integrate_exp_sinh",
     "integrate_lorentzian",
     "complex_quad",
@@ -59,52 +60,108 @@ def exp_sinh_rule(h, clip=3.7):
     return x, w
 
 
-# The refinement ladder: level k is the rule of step 2^-(3+k) clipped at
-# 3.75, so m = 30 2^k and level k is exactly the even-index subset of
-# level k+1, nodes and halved weights bit for bit.  Level 14 has
-# 983,041 nodes.
-_LADDER_STEP = 2.0**-3
-_LADDER_CLIP = 3.75
-_LADDER_DEPTH = 14
-_LADDER_TOL = 1e-12
+# The Laplace rule every `LaplaceTable` is built on: step 2^-9 clipped at
+# 4.625, 4,737 nodes from about 1.6e-35 to 6e34.  m = 2368 is a multiple of
+# 32, so every stride-2^k subset (k <= 5) is exactly the rule of step
+# 2^(k-9), weights times 2^k.
+LAPLACE_RULE = exp_sinh_rule(2.0**-9, 4.625)
+LAPLACE_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
-def exp_sinh_table(f):
-    """The exp-sinh table of f on (0, inf), refined until it converges.
+def laplace_sample(f):
+    """(x, w, f(x)) on `LAPLACE_RULE`, one evaluation per node; entries past
+    the double range come out 0 or inf and nan, which `LaplaceTable` refuses."""
+    x, w = LAPLACE_RULE
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(f(x))
+    return x, w, v.astype(np.result_type(v, 1.0), copy=False)
 
-    f must accept an ndarray of positive abscissas and return values of
-    one dtype (real or complex) for every call.  Each halving of the
-    step evaluates f only at the new odd-index nodes and reuses every
-    value it has, so each node is evaluated once.  Refinement stops when
-    the table's sum moves by at most 1e-12 (1 + |sum|) from the sum of
-    the level before; past level 14 it raises QuadratureError.
 
-    Returns (nodes, weights, values, gap) with gap that last move.
+@cache
+def _summation_order():
+    """Node indices by level (stride 32, then each halving's new nodes), and the splits."""
+    n = LAPLACE_RULE[0].size
+    levels = [np.arange(0, n, 32)] + [np.arange(h, n, 2 * h) for h in (16, 8, 4, 2, 1)]
+    return np.concatenate(levels), np.cumsum([a.size for a in levels])[:-1]
+
+
+@dataclass(frozen=True, eq=False)
+class LaplaceTable:
+    """F(t) = integral_0^inf f(x) e^{-r(x) t} dx with rates r(x) = scale x^power.
+
+    nodes and weights are `LAPLACE_RULE`'s and values f(x_j), so that
+    F(t) = sum_j w_j f(x_j) e^{-r_j t}.  Construction refuses non-finite
+    entries with DomainError.  With |f| at most |f(x_0)| below x_0 and
+    decaying at least as x^-2 past x_N, the rule clips at most
+    x_0 |f(x_0)| min(1, G (r_0 t)^(-1/power)) + x_N |f(x_N)| e^{-r_N t},
+    G = Gamma(1 + 1/power).
     """
-    x, w = exp_sinh_rule(_LADDER_STEP, _LADDER_CLIP)
-    v = np.asarray(f(x))
-    v = v.astype(np.result_type(v, 1.0), copy=False)
-    total = np.sum(w * v)
-    for level in range(1, _LADDER_DEPTH + 1):
-        x, w = exp_sinh_rule(_LADDER_STEP / 2**level, _LADDER_CLIP)
-        finer = np.empty(x.size, dtype=v.dtype)
-        finer[::2] = v
-        v = finer  # the coarse values are dropped before f allocates
-        v[1::2] = f(x[1::2])
-        prev, total = total, np.sum(w * v)
-        gap = abs(total - prev)
-        if gap <= _LADDER_TOL * (1.0 + abs(total)):
-            return x, w, v, gap
-    raise QuadratureError(
-        f"exp-sinh table unresolved after {x.size} nodes "
-        f"(stride gap {gap:.3e} against sum {abs(total):.3e})"
-    )
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    scale: float = 1.0
+    power: int = 1
+
+    def __post_init__(self):
+        if self.nodes.shape != LAPLACE_RULE[0].shape:
+            raise ConfigurationError(f"need the Laplace rule's nodes, got {self.nodes.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.weights * self.values
+            ends = self.nodes[[0, -1]] * np.abs(self.values[[0, -1]])
+            rates = self.scale * self.nodes**self.power
+        if not all(np.isfinite(a).all() for a in (terms, ends, rates)):
+            raise DomainError("Laplace table entries overflow the double range")
+        for arr in (self.nodes, self.weights, self.values):
+            arr.setflags(write=False)
+        # per level, -r_j and the rows Re, Im and |.| of w_j f(x_j)
+        order, splits = _summation_order()
+        terms = terms[order]
+        rows = np.array([terms.real, terms.imag, np.abs(terms)])
+        levels = zip(np.split(-rates[order], splits), np.split(rows, splits, axis=1))
+        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "_clip", (float(ends[0]), float(rates[0]), float(ends[1]),
+                                           float(rates[-1]), math.gamma(1.0 + 1.0 / self.power)))
+
+    def __call__(self, t, floor=0.0):
+        """(F(t), error) on the coarsest stride that meets the gate.
+
+        From stride 32 down, each halving adds only its new nodes, so each
+        exponential is taken once.  The error is the gap to the stride
+        before, the clipped mass and eps times the terms' moduli summed,
+        for rounding the gap misses when two strides round alike.  It must
+        be within LAPLACE_TOL of max(floor, |F(t)|); past the full rule,
+        raises QuadratureError, or DomainError where r_N t overflows.
+        """
+        t = float(t)
+        if math.isinf(self._clip[3] * t):
+            with np.errstate(over="ignore"):  # e^{-r t} = 0 where r t overflows
+                return self._sum(t, floor, DomainError)
+        return self._sum(t, floor, QuadratureError)
+
+    def _sum(self, t, floor, failure):
+        head, rate_0, tail, rate_n, gamma = self._clip
+        clipped = (head / max(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
+                   + tail * math.exp(-rate_n * t))
+        (neg_rates, rows), *finer = self._levels
+        acc = rows @ np.exp(neg_rates * t)
+        for stride, (neg_rates, rows) in zip((16, 8, 4, 2, 1), finer):
+            coarse = 2 * stride * complex(acc[0], acc[1])
+            acc = acc + rows @ np.exp(neg_rates * t)
+            value = stride * complex(acc[0], acc[1])
+            error = float(abs(value - coarse) + clipped + _EPS * stride * acc[2])
+            bound = LAPLACE_TOL * max(floor, abs(value))
+            if error <= bound:
+                return (value.real if self.values.dtype.kind == "f" else value), error
+        past = "; r_N t is past the double range" if failure is DomainError else ""
+        raise failure(f"Laplace table unresolved at t = {t:g}: error {error:.3e} with "
+                      f"clipped mass {clipped:.3e} against bound {bound:.3e}{past}")
 
 
 def integrate_exp_sinh(f):
-    """Integral of f over (0, inf) and its error from `exp_sinh_table`."""
-    x, w, v, gap = exp_sinh_table(f)
-    return np.sum(w * v), gap
+    """Integral of f over (0, inf) and its error: a `LaplaceTable` at t = 0."""
+    return LaplaceTable(*laplace_sample(f))(0.0)
 
 
 # The Lorentzian ladder: tanh-sinh in t on [-3.5, 3.5], level k of step
@@ -116,6 +173,7 @@ def integrate_exp_sinh(f):
 _TS_STEP = 0.5
 _TS_CLIP = 3.5
 _TS_DEPTH = 8
+_TS_TOL = 1e-12
 
 
 @cache
@@ -181,7 +239,7 @@ def integrate_lorentzian(f, energy, width, full_line=False):
         prev, total = total, acc * half * (_TS_STEP / 2**level) / np.pi
         if prev is not None:
             gap = abs(total - prev)
-            if gap <= _LADDER_TOL * (1.0 + abs(total)):
+            if gap <= _TS_TOL * (1.0 + abs(total)):
                 return total, gap
     raise QuadratureError(
         f"Lorentzian ladder unresolved after {nodes} nodes "

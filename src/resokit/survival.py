@@ -15,19 +15,17 @@ axis: the fourth-quadrant pole of rho contributes
 -2 pi i Res[rho(z) e^{-i z t}], taken in closed form since rho is
 rational, and the leg along the axis becomes a real Laplace-type
 endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.  Every
-density holds one exp-sinh table of rho(-i u_j), built at construction,
-so the leg is the sum -i sum_j w_j rho(-i u_j) e^{-u_j t} for every
-t >= 0; its stride-doubling gap and the mass clipped at both ends of the
-table are checked on each evaluation.  The normalization is the same
-rotation at t = 0.  `exact.survival_amplitude` sums the same leg in
-closed form and serves as the cross-check; `survival_amplitude` returns
-its value for method="direct".
+density holds one `quadrature.LaplaceTable` of rho(-i u), built at
+construction and gated at each t against 1e-12 of the larger of the
+pole term and the leg; the normalization is the same rotation at t = 0.
+`exact.survival_amplitude` sums the leg in closed form and serves as the
+cross-check; `survival_amplitude` returns its value for method="direct".
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +33,8 @@ import numpy as np
 from .errors import (
     ArrowOfTimeError,
     ConfigurationError,
+    DomainError,
     NormalizationError,
-    QuadratureError,
     RegimeError,
     WindowError,
 )
@@ -44,7 +42,7 @@ from .errors import (
 # resobench/tracer.py wraps benchmark spans at these names, and its
 # self-tests require every wrapped site to resolve
 from .quadrature import circle_residue, complex_quad, decaying_fourier_quad  # noqa: F401
-from .quadrature import exp_sinh_rule
+from .quadrature import LAPLACE_RULE, LaplaceTable, laplace_sample
 from .surface import ResonancePole
 
 __all__ = [
@@ -58,18 +56,6 @@ __all__ = [
 ]
 
 
-# The endpoint table, in units of the resonance energy E_R: nodes
-# u_j = E_R x_j of one exp-sinh rule.  The clip puts x_0 near 1.6e-35,
-# so the mass clipped below it stays under 1e-12 of the leg up to
-# E_R t of about 6e22.  At step 2^-9 the rule has m = 2368, a multiple
-# of 32, so every stride-2^k subset (k <= 5) is exactly the rule of
-# step 2^(k-9), and each stride is checked against the next coarser.
-_CLIP = 4.625
-_STEP = 2.0**-9
-_STRIDES = (16, 8, 4, 2, 1)
-_LEG_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class SpectralDensity:
     """Rational density N z^alpha base(z)^power on [0, inf).
@@ -78,12 +64,8 @@ class SpectralDensity:
     Lorentzian of the attached resonance.  alpha >= 0 sets the threshold
     power, power in {1, 2} the pole order; the density must have finite
     mass, so alpha < 2 power - 1.  The normalization constant is fixed
-    at construction so integral_0^inf rho dE = 1.
-
-    Construction also stores, outside the dataclass fields, the endpoint
-    table of the rotated contour: nodes u_j, the values rho(-i u_j) / N
-    times their weights, and u |rho(-i u)| / N at the first and last
-    node, from which each evaluation bounds the mass clipped there.
+    at construction so integral_0^inf rho dE = 1.  The Laplace table of
+    rho(-i u) / N in u = E_R x stays outside the dataclass fields.
     """
 
     resonance: ResonancePole
@@ -94,8 +76,8 @@ class SpectralDensity:
     def __init__(self, resonance, alpha=0, power=1):
         if not isinstance(resonance, ResonancePole):
             raise ConfigurationError("SpectralDensity needs a ResonancePole")
-        alpha = int(alpha)
-        power = int(power)
+        alpha = _integer("threshold power alpha", alpha)
+        power = _integer("pole order power", power)
         if alpha < 0:
             raise ConfigurationError("threshold power alpha must be >= 0")
         if power not in (1, 2):
@@ -109,23 +91,16 @@ class SpectralDensity:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "norm", 1.0)
-        x, w = exp_sinh_rule(_STEP, _CLIP)
-        # entries past the double range come out 0 (negligible) or nan;
-        # the first nan appears where 2 E_R u_N = 2 E_R^2 x_N overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = resonance.energy * x
-            shape = self._shape(-1j * nodes)
-            table = (nodes, resonance.energy * w * shape,
-                     nodes[[0, -1]] * np.abs(shape[[0, -1]]))
-        if not all(np.isfinite(arr).all() for arr in table):
-            limit = math.sqrt(sys.float_info.max / (2.0 * x[-1]))
-            raise ConfigurationError(
-                f"resonance energy {resonance.energy:g} overflows the endpoint "
-                f"table; energies up to about {limit:.2g} are supported")
-        for arr in table:
-            arr.setflags(write=False)
+        energy = resonance.energy
+        try:  # the first nan appears where 2 E_R^2 x_N overflows
+            table = LaplaceTable(*laplace_sample(
+                lambda x: energy * self._shape(-1j * (energy * x))), scale=energy)
+        except DomainError:
+            limit = math.sqrt(np.finfo(float).max / (2.0 * LAPLACE_RULE[0][-1]))
+            raise ConfigurationError(f"energy {energy:g} overflows the endpoint table; "
+                                     f"energies up to about {limit:.2g} are supported") from None
         object.__setattr__(self, "_table", table)
-        raw = sum(_rotation(self, 0.0)).real
+        raw = sum(_pole_and_leg(self, 0.0)).real
         if not raw > 0.0:
             raise NormalizationError("density does not integrate to a positive mass")
         object.__setattr__(self, "norm", 1.0 / raw)
@@ -161,6 +136,14 @@ class SpectralDensity:
         return -2.0 * (self.alpha + 1.0)
 
 
+def _integer(name, value):
+    """value as an int, refusing booleans and non-integral numbers."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def _pole_residues(density, t):
     """-2 pi i residue of rho(z) e^{-i z t} at the fourth-quadrant pole.
 
@@ -178,34 +161,10 @@ def _pole_residues(density, t):
     return -2j * np.pi * res
 
 
-def _rotation(density, t):
-    """Pole term and endpoint leg of the contour rotated at time t.
-
-    The leg -i integral_0^inf rho(-i u) e^{-u t} du is summed on the
-    coarsest stride of the density's table whose stride-doubling gap,
-    plus the mass clipped below its first node and above its last, is
-    within _LEG_TOL of the larger of the two terms.  Below u_0 the
-    clipped mass is at most |rho(-i u_0)| min(u_0, 1/t); above u_N, where
-    rho decays at least as u^-2, at most u_N |rho(-i u_N)| e^{-u_N t}.
-    Raises QuadratureError when even the full table misses the bound.
-    """
+def _pole_and_leg(density, t):
+    """Pole term and endpoint leg of the contour rotated at time t."""
     pole = _pole_residues(density, t)
-    nodes, values, ends = density._table
-    for stride in _STRIDES:
-        with np.errstate(over="ignore"):  # u t past the double range: e^{-u t} = 0
-            terms = values[::stride] * np.exp(-nodes[::stride] * t)
-            clipped = ends[0] / max(1.0, nodes[0] * t) + ends[1] * np.exp(-nodes[-1] * t)
-        fine = stride * terms.sum()
-        gap = abs(fine - 2.0 * stride * terms[::2].sum())
-        leg = complex(-1j * density.norm * fine)
-        scale = max(abs(pole), abs(leg))
-        if density.norm * (gap + clipped) <= _LEG_TOL * scale:
-            return pole, leg
-    raise QuadratureError(
-        f"survival endpoint table unresolved at t = {t:g}: stride gap "
-        f"{density.norm * gap:.3e} and clipped mass {density.norm * clipped:.3e} "
-        f"against amplitude scale {scale:.3e}"
-    )
+    return pole, -1j * density.norm * density._table(t, floor=abs(pole) / density.norm)[0]
 
 
 def survival_amplitude(density, t, method="rotation"):
@@ -218,7 +177,7 @@ def survival_amplitude(density, t, method="rotation"):
     if not t >= 0.0:
         raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
     if method == "rotation":
-        return complex(sum(_rotation(density, t)))
+        return complex(sum(_pole_and_leg(density, t)))
     if method == "direct":
         from . import exact  # exact builds on this module
 
@@ -255,7 +214,7 @@ def deviation_onset(density, threshold=0.01, t_grid=None):
         raise ArrowOfTimeError("onset scan needs t >= 0")
 
     def deviation(t):
-        pole_term, leg = _rotation(density, t)
+        pole_term, leg = _pole_and_leg(density, t)
         ref = abs(pole_term) ** 2
         if ref == 0.0:
             return np.inf

@@ -25,7 +25,7 @@ from resokit.expansion import (
     truncated_evolve,
 )
 from resokit.hardy import HalfPlane, HardyFunction
-from resokit.quadrature import circle_residue, exp_sinh_rule
+from resokit.quadrature import LAPLACE_RULE, circle_residue, exp_sinh_rule
 from resokit.surface import BackgroundPhase, ResonancePole, SMatrixModel, blaschke_residue
 from test_hardy import _FlippedDeclaration
 
@@ -42,14 +42,16 @@ def exp_two(psi, state, model_two):
     return expand(psi, state, model_two)
 
 
-def _synthetic(model, psi, state, coefficients, nodes, weights, values):
+def _synthetic(model, psi, state, coefficients, values):
+    """An expansion whose table holds `values` on the Laplace rule."""
+    nodes, weights = LAPLACE_RULE
     return ResonanceExpansion(
         model=model,
         psi=psi,
         state=state,
         coefficients=coefficients,
-        ray_nodes=np.asarray(nodes, dtype=float),
-        ray_weights=np.asarray(weights, dtype=float),
+        ray_nodes=nodes,
+        ray_weights=weights,
         ray_values=np.asarray(values, dtype=complex),
     )
 
@@ -279,15 +281,18 @@ class TestExpansion:
 
     def test_one_table_serves_every_time(self, exp_one, psi, state, model):
         # at times far past the scenario horizons the shared table still
-        # passes the stride gate and agrees with an 8x finer exp-sinh rule
-        s, w = exp_sinh_rule(0.1 / 16)
+        # passes the gate, agrees with the 8x finer exp-sinh rule, and
+        # reports an error no smaller than its gap to that rule
+        s, w = exp_sinh_rule(2.0**-12, 4.625)
         u = np.exp(0.25j * np.pi) * s
         dag = psi.conjugated()
         fine = np.exp(0.25j * np.pi) * dag(-u * u) * model.eval(-1j * u)
         fine = fine * state.wave(-u * u) * (-2.0 * u)
-        for t in (1e2, 1e4, 1e6):
+        for t in (0.0, 1e2, 1e4, 1e6):
             ref = np.sum(w * fine * np.exp(-s * s * t))
-            assert abs(exp_one.background(t) - ref) < 1e-13
+            value, error = exp_one.background_with_error(t)
+            assert abs(value - ref) <= error <= 1e-12 * abs(value)
+            assert abs(value - ref) < 1e-13
 
     def test_long_time_asymptote(self, exp_one, psi, state):
         # g(u) ~ -2u conj(psi)(0) S(0) phi(0) near u = 0 with S(0) = 1, so
@@ -315,8 +320,10 @@ class TestExpansion:
             exp_one.ray_values[0] = 0.0
 
     def test_table_is_small(self, exp_one, exp_two):
+        # every expansion shares the 4,737-node Laplace rule
         for exp in (exp_one, exp_two):
-            assert exp.ray_nodes.size <= 300
+            np.testing.assert_array_equal(exp.ray_nodes, LAPLACE_RULE[0])
+            assert exp.ray_nodes.size == 4737
             assert np.all(exp.ray_nodes > 0.0)
 
     def test_no_horizon_parameter(self, psi, state, model):
@@ -335,24 +342,19 @@ class TestExpansion:
 
 class TestSyntheticTables:
     def test_zero_table_reports_absolute_error(self, model, psi, state):
-        exp = _synthetic(
-            model, psi, state, (0.0j,), np.zeros(4), np.zeros(4), np.zeros(4)
-        )
+        exp = _synthetic(model, psi, state, (0.0j,), np.zeros(LAPLACE_RULE[0].size))
         err = exp.truncation_error(1.0)
         assert not err.relative
         assert err.error == 0.0
 
     def test_stride_gate_fires(self, model, psi, state):
-        exp = _synthetic(
-            model,
-            psi,
-            state,
-            (0.0j,),
-            np.linspace(0.1, 0.5, 5),
-            np.ones(5),
-            np.array([1.0, -1.0, 1.0, -1.0, 1.0]),
-        )
-        with pytest.raises(QuadratureError):
+        # a sign that flips from node to node, zero at both ends: every
+        # stride disagrees with the one before while no mass is clipped
+        nodes, weights = LAPLACE_RULE
+        values = (-1.0) ** np.arange(nodes.size) / weights
+        values[[0, -1]] = 0.0
+        exp = _synthetic(model, psi, state, (0.0j,), values)
+        with pytest.raises(QuadratureError, match="unresolved"):
             exp.background(0.0)
 
 

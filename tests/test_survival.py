@@ -75,12 +75,24 @@ class TestDensity:
         with pytest.raises(ConfigurationError):
             SpectralDensity("pole")
 
+    @pytest.mark.parametrize("alpha, power", [(0.7, 1), (0, 1.6), (True, 2), (0, True),
+                                              (0, "1"), (np.nan, 1)])
+    def test_refuses_non_integral_shapes(self, narrow, alpha, power):
+        # int() used to truncate these: (0.7, 1.6) ran as (0, 1), True as 1
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            SpectralDensity(narrow, alpha=alpha, power=power)
+
+    def test_integral_floats_are_integers(self, narrow):
+        d = SpectralDensity(narrow, alpha=1.0, power=np.int64(2))
+        assert (d.alpha, d.power) == (1, 2)
+        assert type(d.alpha) is int and type(d.power) is int
+
     @pytest.mark.parametrize("alpha, power", [(1, 1), (2, 1), (3, 2), (4, 2)])
     def test_refuses_shapes_without_finite_mass(self, narrow, monkeypatch, alpha, power):
         # E^alpha base^power ~ E^(alpha - 2 power) at large E: no finite mass
         # for alpha >= 2 power - 1, refused before any quadrature runs
         monkeypatch.setattr(survival, "complex_quad", _no_quadrature)
-        monkeypatch.setattr(survival, "exp_sinh_rule", _no_quadrature)
+        monkeypatch.setattr(survival, "LaplaceTable", _no_quadrature)
         with pytest.raises(ConfigurationError, match="no finite mass"):
             SpectralDensity(narrow, alpha=alpha, power=power)
 
@@ -100,7 +112,7 @@ class TestAmplitude:
 
     def test_direct_is_the_closed_form(self, dens, narrow, monkeypatch):
         monkeypatch.setattr("resokit.quadrature.quad", _no_quadrature)
-        monkeypatch.setattr(survival, "_rotation", _no_quadrature)
+        monkeypatch.setattr(survival, "_pole_and_leg", _no_quadrature)
         t = 1.0 / narrow.width
         assert survival_amplitude(dens, t, method="direct") == (
             exact.survival_amplitude(dens, t).value)
@@ -214,7 +226,7 @@ class TestEndpointTable:
 
         monkeypatch.setattr(SpectralDensity, "_shape", counted)
         d = SpectralDensity.truncated_lorentzian(narrow)
-        assert len(points) == 1 and points[0] == d._table[0].size
+        assert len(points) == 1 and points[0] == d._table.nodes.size
         for t in np.geomspace(0.2 / narrow.width, 30.0 / narrow.width, 60):
             survival_probability(d, t)
         deviation_onset(d)
@@ -240,6 +252,16 @@ class TestEndpointTable:
         # QUADPACK's direct integral missed this line by 0.779
         achieved = json.loads((out / "khalfin.manifest.json").read_text())["achieved"]
         assert achieved["cross_method_max_diff"] < 1e-9
+
+    def test_late_times_of_a_narrow_line(self, tmp_path):
+        # at 700 lifetimes of a 1e-90 line the pole term (about 1e-152)
+        # dominates and the leg's mass sits below the table's first node;
+        # the clipped mass below it stays inside the gate only with its
+        # 1 / (E_R x_0 t) factor
+        config, out = _khalfin(tmp_path, 1e-90, 700.0)
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        last = (out / "khalfin.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_too_narrow_for_the_table(self, tmp_path, capsys):
         # at 708 lifetimes of a 1e-30 line the leg's mass sits below the
@@ -337,7 +359,7 @@ class TestClosedForm:
     def test_no_quadrature(self, narrow, monkeypatch):
         d = SpectralDensity.threshold_weighted(narrow)
         monkeypatch.setattr("resokit.quadrature.quad", _no_quadrature)
-        monkeypatch.setattr(survival, "_rotation", _no_quadrature)
+        monkeypatch.setattr(survival, "_pole_and_leg", _no_quadrature)
         for t in (0.0, 1.0, 1e3, 1e6):
             assert abs(exact.survival_amplitude(d, t).value) > 0.0
 

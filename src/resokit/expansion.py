@@ -36,13 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArrowOfTimeError, ConfigurationError, HardyClassError
+from .errors import ArrowOfTimeError, ConfigurationError, DomainError, HardyClassError
 from .hardy import HalfPlane, HardyFunction
 # unused here; resobench/tracer.py wraps the benchmark spans at these
 # names, and its self-tests require every wrapped site to resolve
 from .hardy import paley_wiener_check  # noqa: F401
 from .quadrature import circle_residue, complex_quad  # noqa: F401
-from .quadrature import LaplaceTable, decaying_fourier_quad, laplace_sample, oscillatory_quad
+from .quadrature import LAPLACE_RULE, LaplaceTable, laplace_sample
+from .quadrature import decaying_fourier_quad, oscillatory_quad
 from .surface import SMatrixModel, blaschke_residue
 
 __all__ = [
@@ -167,8 +168,9 @@ class ResonanceExpansion:
     ray_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        table = LaplaceTable(self.ray_nodes, self.ray_weights, self.ray_values, power=2)
-        object.__setattr__(self, "_table", table)
+        if not all(map(np.array_equal, (self.ray_nodes, self.ray_weights), LAPLACE_RULE)):
+            raise ConfigurationError("the background table must lie on the Laplace rule")
+        object.__setattr__(self, "_table", LaplaceTable(self.ray_values, power=2))
         # (-i z_i, b_i) per pole, so pole_sum is one cmath.exp per term
         rates = tuple(-1j * complex(z) for z in self.eigenvalues)
         object.__setattr__(self, "_poles", tuple(zip(rates, self.coefficients)))
@@ -181,13 +183,14 @@ class ResonanceExpansion:
         """Sum of resonance terms b_i e^{-i z_i t}, t >= 0."""
         if not t >= 0.0:
             raise ArrowOfTimeError(f"expansion terms evolve forward only, got t = {t}")
-        return complex(sum(b * cmath.exp(rate * t) for rate, b in self._poles))
+        try:
+            return complex(sum(b * cmath.exp(rate * t) for rate, b in self._poles))
+        except ValueError:  # E_i t past the double range leaves the phase undefined
+            raise DomainError(f"pole phase overflows the double range at t = {t:g}") from None
 
     def background_with_error(self, t):
-        """Background integral at time t and its error, from the Laplace
-        table gated against the larger of it and the pole sum."""
-        if not t >= 0.0:
-            raise ArrowOfTimeError(f"the background evolves forward only, got t = {t}")
+        """Background integral at time t and its error, from the Laplace table
+        gated against the larger of it and the pole sum (which refuses t < 0)."""
         return self._table(t, floor=abs(self.pole_sum(t)))
 
     def background(self, t):
@@ -252,16 +255,9 @@ def expand(psi, state, model):
         e = -(u * u)
         return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
 
-    ray_s, ray_w, ray_vals = laplace_sample(line_values)
-    return ResonanceExpansion(
-        model=model,
-        psi=psi,
-        state=state,
-        coefficients=coeffs,
-        ray_nodes=ray_s,
-        ray_weights=ray_w,
-        ray_values=ray_vals,
-    )
+    return ResonanceExpansion(model=model, psi=psi, state=state, coefficients=coeffs,
+                              ray_nodes=LAPLACE_RULE[0], ray_weights=LAPLACE_RULE[1],
+                              ray_values=laplace_sample(line_values))
 
 
 def background_profile(expansion, times):

@@ -3,7 +3,7 @@
 `integrate_lorentzian` integrates a smooth factor against a unit
 Lorentzian on (0, inf) or the whole line by a nested tanh-sinh ladder on
 the Lorentzian's angle, at a cost that does not grow as the line narrows.
-`LaplaceTable` freezes a Laplace integral of f(x) e^{-r(x) t} on one
+`LaplaceTable` freezes a Laplace integral of f(x) e^{-x^p t} on one
 nested exp-sinh rule and sums it at any t >= 0 under one error bound and
 one gate; the survival leg, the expansion background and
 `integrate_exp_sinh` share it.  The scipy wrappers adapt
@@ -16,6 +16,7 @@ midpoint rule on a circle gives contour residues.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -70,98 +71,101 @@ _EPS = np.finfo(float).eps
 
 
 def laplace_sample(f):
-    """(x, w, f(x)) on `LAPLACE_RULE`, one evaluation per node; entries past
-    the double range come out 0 or inf and nan, which `LaplaceTable` refuses."""
-    x, w = LAPLACE_RULE
+    """f at the nodes of `LAPLACE_RULE`, one evaluation per node; entries
+    past the double range come out inf or nan, which `LaplaceTable` refuses."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(f(x))
-    return x, w, v.astype(np.result_type(v, 1.0), copy=False)
+        v = np.asarray(f(LAPLACE_RULE[0]))
+    return v.astype(np.result_type(v, 1.0), copy=False)
 
 
 @cache
-def _summation_order():
-    """Node indices by level (stride 32, then each halving's new nodes), and the splits."""
-    n = LAPLACE_RULE[0].size
-    levels = [np.arange(0, n, 32)] + [np.arange(h, n, 2 * h) for h in (16, 8, 4, 2, 1)]
-    return np.concatenate(levels), np.cumsum([a.size for a in levels])[:-1]
+def _summation_order(power):
+    """Node indices by block (the stride-16 rule, its stride-32 subset first,
+    then each halving's new nodes), the splits, -x_j^power in that order,
+    x_0^power, x_N^power and Gamma(1 + 1/power)."""
+    x = LAPLACE_RULE[0]
+    blocks = [np.r_[0:x.size:32, 16:x.size:32]] + [np.arange(h, x.size, 2 * h)
+                                                   for h in (8, 4, 2, 1)]
+    order = np.concatenate(blocks)
+    splits = np.cumsum([a.size for a in blocks])[:-1]
+    rates = x**power
+    return (order, splits, np.split(-rates[order], splits), float(rates[0]), float(rates[-1]),
+            math.gamma(1.0 + 1.0 / power))
 
 
 @dataclass(frozen=True, eq=False)
 class LaplaceTable:
-    """F(t) = integral_0^inf f(x) e^{-r(x) t} dx with rates r(x) = scale x^power.
+    """F(t) = integral_0^inf f(x) e^{-x^power t} dx on `LAPLACE_RULE`.
 
-    nodes and weights are `LAPLACE_RULE`'s and values f(x_j), so that
-    F(t) = sum_j w_j f(x_j) e^{-r_j t}.  Construction refuses non-finite
-    entries with DomainError.  With |f| at most |f(x_0)| below x_0 and
-    decaying at least as x^-2 past x_N, the rule clips at most
-    x_0 |f(x_0)| min(1, G (r_0 t)^(-1/power)) + x_N |f(x_N)| e^{-r_N t},
+    values holds f(x_j) at the rule's nodes x_j (`laplace_sample`), so
+    F(t) = sum_j w_j f(x_j) e^{-x_j^power t} for a positive integer power.
+    Construction refuses non-finite entries with DomainError.  With |f|
+    at most |f(x_0)| below x_0 and decaying at least as x^-2 past x_N,
+    the rule clips at most
+    x_0 |f(x_0)| min(1, G (x_0^power t)^(-1/power)) + x_N |f(x_N)| e^{-x_N^power t},
     G = Gamma(1 + 1/power).
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     values: np.ndarray
-    scale: float = 1.0
     power: int = 1
 
     def __post_init__(self):
-        if self.nodes.shape != LAPLACE_RULE[0].shape:
-            raise ConfigurationError(f"need the Laplace rule's nodes, got {self.nodes.shape}")
+        x, w = LAPLACE_RULE
+        if self.values.shape != x.shape:
+            raise ConfigurationError(f"need one value per Laplace node, got {self.values.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.weights * self.values
-            ends = self.nodes[[0, -1]] * np.abs(self.values[[0, -1]])
-            rates = self.scale * self.nodes**self.power
-        if not all(np.isfinite(a).all() for a in (terms, ends, rates)):
+            terms = w * self.values
+            ends = x[[0, -1]] * np.abs(self.values[[0, -1]])
+        if not (np.isfinite(terms).all() and np.isfinite(ends).all()):
             raise DomainError("Laplace table entries overflow the double range")
-        for arr in (self.nodes, self.weights, self.values):
-            arr.setflags(write=False)
-        # per level, -r_j and the rows Re, Im and |.| of w_j f(x_j)
-        order, splits = _summation_order()
+        self.values.setflags(write=False)
+        # per block, the rows Re, Im and |.| of w_j f(x_j); the first block
+        # adds Re and Im over its stride-32 subset, so one product sums both
+        order, splits, *_ = _summation_order(self.power)
         terms = terms[order]
-        rows = np.array([terms.real, terms.imag, np.abs(terms)])
-        levels = zip(np.split(-rates[order], splits), np.split(rows, splits, axis=1))
-        object.__setattr__(self, "_levels", tuple(levels))
-        object.__setattr__(self, "_clip", (float(ends[0]), float(rates[0]), float(ends[1]),
-                                           float(rates[-1]), math.gamma(1.0 + 1.0 / self.power)))
+        rows = np.split(np.array([terms.real, terms.imag, np.abs(terms)]), splits, axis=1)
+        coarse = rows[0][:2] * (np.arange(splits[0]) < (x.size + 31) // 32)
+        object.__setattr__(self, "_rows", [np.vstack([rows[0], coarse])] + rows[1:])
+        object.__setattr__(self, "_ends", (float(ends[0]), float(ends[1])))
 
     def __call__(self, t, floor=0.0):
         """(F(t), error) on the coarsest stride that meets the gate.
 
-        From stride 32 down, each halving adds only its new nodes, so each
-        exponential is taken once.  The error is the gap to the stride
-        before, the clipped mass and eps times the terms' moduli summed,
-        for rounding the gap misses when two strides round alike.  It must
-        be within LAPLACE_TOL of max(floor, |F(t)|); past the full rule,
-        raises QuadratureError, or DomainError where r_N t overflows.
+        From stride 16 (checked against its stride-32 subset) down, each
+        halving adds only its new nodes, so each exponential is taken
+        once.  The error is the gap to the stride before, the clipped mass
+        and eps times the terms' moduli summed, for rounding the gap
+        misses when two strides round alike.  It must be within
+        LAPLACE_TOL of max(floor, |F(t)|); past the full rule, raises
+        QuadratureError, or DomainError where x_N^power t overflows.
         """
         t = float(t)
-        if math.isinf(self._clip[3] * t):
-            with np.errstate(over="ignore"):  # e^{-r t} = 0 where r t overflows
-                return self._sum(t, floor, DomainError)
-        return self._sum(t, floor, QuadratureError)
-
-    def _sum(self, t, floor, failure):
-        head, rate_0, tail, rate_n, gamma = self._clip
+        _, _, neg_rates, rate_0, rate_n, gamma = _summation_order(self.power)
+        failure = DomainError if math.isinf(rate_n * t) else QuadratureError
+        head, tail = self._ends
         clipped = (head / max(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
                    + tail * math.exp(-rate_n * t))
-        (neg_rates, rows), *finer = self._levels
-        acc = rows @ np.exp(neg_rates * t)
-        for stride, (neg_rates, rows) in zip((16, 8, 4, 2, 1), finer):
-            coarse = 2 * stride * complex(acc[0], acc[1])
-            acc = acc + rows @ np.exp(neg_rates * t)
-            value = stride * complex(acc[0], acc[1])
-            error = float(abs(value - coarse) + clipped + _EPS * stride * acc[2])
-            bound = LAPLACE_TOL * max(floor, abs(value))
-            if error <= bound:
-                return (value.real if self.values.dtype.kind == "f" else value), error
-        past = "; r_N t is past the double range" if failure is DomainError else ""
+        # e^{-r t} = 0 where r t overflows (errstate costs 1 us, so only then)
+        with np.errstate(over="ignore") if failure is DomainError else nullcontext():
+            acc = self._rows[0] @ np.exp(neg_rates[0] * t)
+            coarse, acc = 32 * complex(acc[3], acc[4]), acc[:3]
+            for stride, r, rows in zip((16, 8, 4, 2, 1), neg_rates, self._rows):
+                if stride < 16:  # add the nodes new at this stride
+                    coarse = 2 * stride * complex(acc[0], acc[1])
+                    acc = acc + rows @ np.exp(r * t)
+                value = stride * complex(acc[0], acc[1])
+                error = float(abs(value - coarse) + clipped + _EPS * stride * acc[2])
+                bound = LAPLACE_TOL * max(floor, abs(value))
+                if error <= bound:
+                    return (value.real if self.values.dtype.kind == "f" else value), error
+        past = "; x_N^power t is past the double range" if failure is DomainError else ""
         raise failure(f"Laplace table unresolved at t = {t:g}: error {error:.3e} with "
                       f"clipped mass {clipped:.3e} against bound {bound:.3e}{past}")
 
 
 def integrate_exp_sinh(f):
     """Integral of f over (0, inf) and its error: a `LaplaceTable` at t = 0."""
-    return LaplaceTable(*laplace_sample(f))(0.0)
+    return LaplaceTable(laplace_sample(f))(0.0)
 
 
 # The Lorentzian ladder: tanh-sinh in t on [-3.5, 3.5], level k of step

@@ -249,8 +249,8 @@ def _expansion_check(p, lifetimes):
     checks = []
     bound = 0.0
     for t in (n / _narrowest(p) for n in lifetimes):
-        # the expansion goes first: past the double range its Laplace
-        # table raises the documented DomainError
+        # the expansion goes first: past the double range its pole sum or
+        # Laplace table raises the documented DomainError
         rec = exp.reconstruct(t)
         exact, error = parts.pairing(t)
         checks.append((t, exact, rec, abs(exact - rec) / abs(exact)))

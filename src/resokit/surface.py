@@ -226,7 +226,8 @@ class SMatrixModel:
         relative to the pole scale."""
         k_arr = np.asarray(k, dtype=complex)
         for s, radius in self._guards:
-            d = np.abs(k_arr - s)
+            # |k - s| < radius needs |Re k - Re s| < radius, which is cheaper
+            d = np.abs(k_arr[np.abs(k_arr.real - s.real) < radius] - s)
             if np.any(d < radius):
                 raise PoleProximityError(
                     f"evaluation within {_PROXIMITY:g} of pole {s}",

@@ -15,9 +15,9 @@ axis: the fourth-quadrant pole of rho contributes
 -2 pi i Res[rho(z) e^{-i z t}], taken in closed form since rho is
 rational, and the leg along the axis becomes a real Laplace-type
 endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.  Every
-density holds one `quadrature.LaplaceTable` of rho(-i u), built at
-construction and gated at each t against 1e-12 of the larger of the
-pole term and the leg; the normalization is the same rotation at t = 0.
+density holds one `quadrature.LaplaceTable` of E_R rho(-i E_R x), built
+at construction, summed at E_R t and gated against 1e-12 of the larger
+of the pole term and the leg; the normalization is the same rotation at t = 0.
 `exact.survival_amplitude` sums the leg in closed form and serves as the
 cross-check; `survival_amplitude` returns its value for method="direct".
 """
@@ -65,7 +65,7 @@ class SpectralDensity:
     power, power in {1, 2} the pole order; the density must have finite
     mass, so alpha < 2 power - 1.  The normalization constant is fixed
     at construction so integral_0^inf rho dE = 1.  The Laplace table of
-    rho(-i u) / N in u = E_R x stays outside the dataclass fields.
+    E_R rho(-i E_R x) / N stays outside the dataclass fields.
     """
 
     resonance: ResonancePole
@@ -93,8 +93,7 @@ class SpectralDensity:
         object.__setattr__(self, "norm", 1.0)
         energy = resonance.energy
         try:  # the first nan appears where 2 E_R^2 x_N overflows
-            table = LaplaceTable(*laplace_sample(
-                lambda x: energy * self._shape(-1j * (energy * x))), scale=energy)
+            table = LaplaceTable(laplace_sample(lambda x: energy * self._shape(-1j * (energy * x))))
         except DomainError:
             limit = math.sqrt(np.finfo(float).max / (2.0 * LAPLACE_RULE[0][-1]))
             raise ConfigurationError(f"energy {energy:g} overflows the endpoint table; "
@@ -164,7 +163,8 @@ def _pole_residues(density, t):
 def _pole_and_leg(density, t):
     """Pole term and endpoint leg of the contour rotated at time t."""
     pole = _pole_residues(density, t)
-    return pole, -1j * density.norm * density._table(t, floor=abs(pole) / density.norm)[0]
+    leg = density._table(density.resonance.energy * t, floor=abs(pole) / density.norm)[0]
+    return pole, -1j * density.norm * leg
 
 
 def survival_amplitude(density, t, method="rotation"):

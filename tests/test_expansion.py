@@ -347,6 +347,13 @@ class TestSyntheticTables:
         assert not err.relative
         assert err.error == 0.0
 
+    def test_refuses_another_rule(self, model, psi, state):
+        # the error bounds assume the Laplace rule's nodes and weights
+        exp = _synthetic(model, psi, state, (0.0j,), np.zeros(LAPLACE_RULE[0].size))
+        for field in ("ray_nodes", "ray_weights"):
+            with pytest.raises(ConfigurationError, match="Laplace rule"):
+                dataclasses.replace(exp, **{field: 2.0 * getattr(exp, field)})
+
     def test_stride_gate_fires(self, model, psi, state):
         # a sign that flips from node to node, zero at both ends: every
         # stride disagrees with the one before while no mass is clipped

@@ -547,6 +547,9 @@ class TestCli:
                             "points": 10_001}, [], 2, "parameters.points"),
          ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
                             "times_lifetimes": [1e300]}, [], 1, None),
+         ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2},
+                                           {"energy": 1.6, "width": 0.35}],
+                            "times_lifetimes": [3e307]}, [], 1, None),
          ("contour_check", {"resonances": [{"energy": 1.0, "width": 0.2}],
                             "dual": {"half_plane": "sideways", "terms": []}}, [], 2,
           "parameters.dual.half_plane"),
@@ -573,7 +576,7 @@ class TestCli:
              "khalfin_tiny_width",
              "khalfin_no_cross_checks", "khalfin_underflowing_width",
              "single_tiny_width", "single_points", "two_points",
-             "contour_far", "contour_bad_wave", "wave_fractional_order",
+             "contour_far", "contour_phase_overflow", "contour_bad_wave", "wave_fractional_order",
              "wave_boolean_order", "wave_string_order", "wave_boolean_re",
              "wave_term_unknown_key", "wave_unknown_key", "contour_leakage_tolerance",
              "histories_scale", "histories_levels", "config_is_directory",

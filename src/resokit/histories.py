@@ -9,14 +9,21 @@ history is a time-ordered chain of projections whose probability is
 with Heisenberg projectors P(t) = e^{iHt} P e^{-iHt} and strictly
 increasing positive times.  Evolution respects the same forward arrow
 as the rest of the package.
+
+The public functions take one matrix each and check it once.  They share
+private kernels that also work over leading axes, so a stack of cases
+(one leading axis, `stacked=True` in the checks) runs the same
+arithmetic as one case at a time.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import (
     ArrowOfTimeError,
@@ -41,16 +48,35 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+# an outcome of probability at or below this is null: collapse_selective
+# raises on it, and the stacked sequential route gives it probability 0
+_NULL = 1e-14
 
 
-def _square(m, what):
-    """m as a complex array, refused unless square, nonempty and finite."""
+def _square(m, what, stacked=False):
+    """m as a complex array, refused unless square, nonempty and finite;
+    a stack has one leading axis."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or not m.size:
         raise ConfigurationError(f"{what} must be a nonempty square matrix")
     if not np.isfinite(m).all():
         raise ConfigurationError(f"{what} must be finite")
     return m
+
+
+def _same_size(*matrices):
+    """Refuse operands of different dimension."""
+    sizes = sorted({m.shape[-1] for m in matrices})
+    if len(sizes) > 1:
+        raise ConfigurationError(f"matrix dimensions differ: {sizes}")
+
+
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def _close(a, b, atol):
@@ -58,17 +84,18 @@ def _close(a, b, atol):
     return np.abs(a - b).max() <= atol
 
 
-def _density_spectrum(rho):
+def _density_spectrum(rho, stacked=False):
     """rho checked as a density matrix, with its eigenvalues."""
-    rho = _square(rho, "a density matrix")
-    if not _close(rho, rho.conj().T, _ATOL):
+    rho = _square(rho, "a density matrix", stacked)
+    if not _close(rho, _dagger(rho), _ATOL):
         raise ConfigurationError("density matrix is not hermitian")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > _ATOL:
-        raise ConfigurationError(f"density trace must be 1, got {trace}")
+    trace = _trace(rho)
+    unit = (np.abs(trace.real - 1.0) <= 1e-10) & (np.abs(trace.imag) <= _ATOL)
+    if not unit.all():
+        raise ConfigurationError(f"density trace must be 1, got {trace[~unit][0]}")
     w = np.linalg.eigvalsh(rho)
-    if np.min(w) < -1e-10:
-        raise ConfigurationError(f"density matrix has eigenvalue {np.min(w):.3e} < 0")
+    if w.min() < -1e-10:
+        raise ConfigurationError(f"density matrix has eigenvalue {w.min():.3e} < 0")
     return rho, w
 
 
@@ -77,26 +104,29 @@ def validate_density(rho):
     return _density_spectrum(rho)[0]
 
 
-def validate_projector(p):
-    """Hermitian idempotent (within 1e-12)."""
-    p = _square(p, "a projector")
-    if not _close(p, p.conj().T, _ATOL):
+def _projector(p, stacked=False):
+    p = _square(p, "a projector", stacked)
+    if not _close(p, _dagger(p), _ATOL):
         raise ConfigurationError("projector is not hermitian")
     if not _close(p @ p, p, 1e-10):
         raise ConfigurationError("projector is not idempotent")
     return p
 
 
-def validate_projector_family(projectors, dim=None):
-    """Mutually orthogonal projectors resolving the identity."""
-    ps = [validate_projector(p) for p in projectors]
+def validate_projector(p):
+    """Hermitian idempotent (within 1e-12)."""
+    return _projector(p)
+
+
+def _family(projectors, dim=None, stacked=False):
+    ps = [_projector(p, stacked) for p in projectors]
     if not ps:
         raise ConfigurationError("empty projector family")
-    n = ps[0].shape[0]
+    n = ps[0].shape[-1]
     if dim is not None and n != dim:
         raise ConfigurationError(f"projector dimension {n} does not match {dim}")
     for i, a in enumerate(ps):
-        if a.shape[0] != n:
+        if a.shape != ps[0].shape:
             raise ConfigurationError("projector dimensions differ")
         for b in ps[i + 1:]:
             if not _close(a @ b, 0.0, 1e-10):
@@ -106,39 +136,117 @@ def validate_projector_family(projectors, dim=None):
     return ps
 
 
-def random_density(dim, rng):
-    """Haar-ish random full-rank density matrix."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def validate_projector_family(projectors, dim=None):
+    """Mutually orthogonal projectors resolving the identity."""
+    return _family(projectors, dim)
 
 
-def random_projector_family(dim, rng, blocks=2):
-    """Random orthogonal projector family from a Haar-ish eigenbasis."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _require_hermitian(h, stacked=False):
+    h = _square(h, "a hamiltonian", stacked)
+    if not _close(h, _dagger(h), _ATOL):
+        raise ConfigurationError("hamiltonian is not hermitian")
+    return h
+
+
+def _gaussian(rng, count, dim):
+    """count complex Gaussian dim x dim draws, each real part first; the
+    stream is that of 2 count consecutive dim x dim normal draws."""
+    d = rng.normal(size=(2 * count, dim, dim))
+    return d[0::2] + 1j * d[1::2]
+
+
+def _density_from(a):
+    """a a* / Tr(a a*): a full-rank density matrix from a Gaussian draw."""
+    rho = a @ _dagger(a)
+    return rho / _trace(rho).real[..., None, None]
+
+
+def _family_from(a, blocks):
+    """Projectors onto consecutive column blocks of the QR basis of a draw."""
+    dim = a.shape[-1]
     q, _ = np.linalg.qr(a)
     sizes = np.full(blocks, dim // blocks)
     sizes[: dim % blocks] += 1
     ps = []
     start = 0
     for s in sizes:
-        cols = q[:, start:start + s]
-        ps.append(cols @ cols.conj().T)
+        cols = q[..., start:start + s]
+        ps.append(cols @ _dagger(cols))
         start += s
     return ps
 
 
-def _require_hermitian(h):
-    h = _square(h, "a hamiltonian")
-    if not _close(h, h.conj().T, _ATOL):
-        raise ConfigurationError("hamiltonian is not hermitian")
-    return h
+def random_density(dim, rng):
+    """Haar-ish random full-rank density matrix."""
+    return _density_from(_gaussian(rng, 1, dim)[0])
+
+
+def random_projector_family(dim, rng, blocks=2):
+    """Random orthogonal projector family from a Haar-ish eigenbasis."""
+    return _family_from(_gaussian(rng, 1, dim)[0], blocks)
 
 
 def _propagator(eig, t):
-    """e^{-iHt} from the eigendecomposition eig = eigh(H)."""
+    """e^{-iHt} from the eigendecomposition eig = eigh(H), over the
+    leading axes of eig and t; a phase max|w| t that is not finite is refused."""
     w, v = eig
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    t = np.asarray(t, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.abs(w).max(axis=-1, keepdims=True) * t).all()
+    if not finite:
+        raise ConfigurationError("the phase max|E| t of the evolution is not finite")
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ _dagger(v)
+
+
+def _evolve(rho, u):
+    return u @ rho @ _dagger(u)
+
+
+def _heisenberg(p, u):
+    """P(t) = U(t)* P U(t) with U(t) = e^{-iHt}."""
+    return _dagger(u) @ p @ u
+
+
+def _chain(steps):
+    """M = P_n(t_n) ... P_1(t_1) from (projector, U(t)) steps in time order."""
+    m = None
+    for p, u in steps:
+        pt = _heisenberg(p, u)
+        m = pt if m is None else pt @ m
+    return m
+
+
+def _history(rho, m):
+    """Tr(M rho M*), clipped at 0 from below."""
+    return np.maximum(_trace(m @ rho @ _dagger(m)).real, 0.0)
+
+
+def _select(rho, p):
+    """(P rho P / prob, prob); a null outcome (prob <= _NULL) stays unscaled."""
+    reduced = p @ rho @ p
+    prob = _trace(reduced).real
+    return reduced / np.where(prob > _NULL, prob, 1.0)[..., None, None], prob
+
+
+def _sequential(rho, first, u1, second, u21):
+    """Probability of first at t1 and then second at t2 by collapse: evolve
+    by U(t1), condition on first, evolve by U(t2 - t1), condition on
+    second; 0 where either outcome is null."""
+    mid, p1 = _select(_evolve(rho, u1), first)
+    _, p2 = _select(_evolve(mid, u21), second)
+    return np.where((p1 > _NULL) & (p2 > _NULL), p1 * p2, 0.0)
+
+
+def _dephase(rho, ps):
+    """sum_i P_i rho P_i."""
+    return sum(p @ rho @ p for p in ps)
+
+
+def _entropy(w):
+    """-sum lambda ln lambda of a density spectrum (last axis)."""
+    w = np.clip(w.real, 1e-14, None)
+    w = w / np.sum(w, axis=-1, keepdims=True)
+    return -np.sum(w * np.log(w), axis=-1)
 
 
 def unitary_evolve(rho, hamiltonian, t):
@@ -146,8 +254,9 @@ def unitary_evolve(rho, hamiltonian, t):
     if not t >= 0.0:
         raise ArrowOfTimeError(f"evolution is forward only, got t = {t}")
     rho = validate_density(rho)
-    u = _propagator(eigh(_require_hermitian(hamiltonian)), t)
-    return u @ rho @ u.conj().T
+    h = _require_hermitian(hamiltonian)
+    _same_size(rho, h)
+    return _evolve(rho, _propagator(eigh(h), t))
 
 
 def heisenberg_projector(p, hamiltonian, t):
@@ -155,44 +264,38 @@ def heisenberg_projector(p, hamiltonian, t):
     if not t >= 0.0:
         raise ArrowOfTimeError(f"Heisenberg projectors need t >= 0, got {t}")
     p = validate_projector(p)
-    u = _propagator(eigh(_require_hermitian(hamiltonian)), t)
-    return u.conj().T @ p @ u
+    h = _require_hermitian(hamiltonian)
+    _same_size(p, h)
+    return _heisenberg(p, _propagator(eigh(h), t))
 
 
 def collapse_nonselective(rho, projectors):
     """sum_i P_i rho P_i for an orthogonal family resolving identity."""
     rho = validate_density(rho)
-    ps = validate_projector_family(projectors, dim=rho.shape[0])
-    out = np.zeros_like(rho)
-    for p in ps:
-        out += p @ rho @ p
-    return out
+    return _dephase(rho, validate_projector_family(projectors, dim=rho.shape[0]))
 
 
 def collapse_selective(rho, projector):
     """(P rho P / prob, prob); conditioning on a null outcome raises."""
     rho = validate_density(rho)
     p = validate_projector(projector)
-    reduced = p @ rho @ p
-    prob = float(np.trace(reduced).real)
-    if prob <= 1e-14:
+    _same_size(rho, p)
+    reduced, prob = _select(rho, p)
+    if prob <= _NULL:
         raise ZeroProbabilityError(
             f"outcome probability {prob:.3e} is numerically zero"
         )
-    return reduced / prob, prob
+    return reduced, float(prob)
 
 
 def entropy(rho):
     """von Neumann entropy -sum lambda ln lambda (natural log)."""
-    _, w = _density_spectrum(rho)
-    w = np.clip(w.real, 1e-14, None)
-    w = w / np.sum(w)
-    return float(-np.sum(w * np.log(w)))
+    return float(_entropy(_density_spectrum(rho)[1]))
 
 
 @dataclass(frozen=True)
 class History:
-    """Chain of (projector, time) steps at strictly increasing t > 0."""
+    """Chain of (projector, time) steps at strictly increasing, finite t > 0."""
 
     steps: tuple
 
@@ -201,13 +304,23 @@ class History:
             raise ConfigurationError("a history needs at least one step")
         cleaned = []
         last_t = 0.0
-        for p, t in self.steps:
+        for step in self.steps:
+            try:
+                p, t = step
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"a history step must be a (projector, time) pair, got {step!r}"
+                ) from None
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ConfigurationError(f"a history time must be a real number, got {t!r}")
             t = float(t)
             if not t > last_t:
                 raise ArrowOfTimeError(
                     f"history times must be strictly increasing and positive, "
                     f"got {t} after {last_t}"
                 )
+            if not math.isfinite(t):
+                raise ConfigurationError(f"history times must be finite, got {t}")
             cleaned.append((validate_projector(p), t))
             last_t = t
         object.__setattr__(self, "steps", tuple(cleaned))
@@ -216,15 +329,12 @@ class History:
 def history_probability(rho, hamiltonian, history):
     """Tr(M rho M*) with M the ordered Heisenberg projector product."""
     rho = validate_density(rho)
-    eig = eigh(_require_hermitian(hamiltonian))
+    h = _require_hermitian(hamiltonian)
     if not isinstance(history, History):
         history = History(steps=tuple(history))
-    m = np.eye(rho.shape[0], dtype=complex)
-    for p, t in history.steps:
-        u = _propagator(eig, t)
-        m = u.conj().T @ p @ u @ m
-    val = np.trace(m @ rho @ m.conj().T).real
-    return float(max(val, 0.0))
+    _same_size(rho, h, *(p for p, _ in history.steps))
+    eig = eigh(h)
+    return float(_history(rho, _chain((p, _propagator(eig, t)) for p, t in history.steps)))
 
 
 def two_level_survival(coefficients, matrix, projector_weights, t):

@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from resokit.errors import (
     ArrowOfTimeError,
@@ -8,7 +10,7 @@ from resokit.errors import (
     ZeroProbabilityError,
 )
 from resokit.expansion import EffectiveMatrix
-from resokit import histories
+from resokit import histories, scenarios
 from resokit.histories import (
     History,
     collapse_nonselective,
@@ -278,6 +280,166 @@ class TestHistories:
         direct = history_probability(rho4, ham, [(p, 0.5)])
         via_history = history_probability(rho4, ham, History(steps=((p, 0.5),)))
         assert direct == via_history
+
+
+class TestNonFiniteTimes:
+    # each used to return NaN entries, with a RuntimeWarning under
+    # warnings-as-errors
+    @pytest.mark.filterwarnings("error")
+    def test_unitary_evolve(self, rho4, ham):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            unitary_evolve(rho4, ham, np.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_history_probability(self, rho4, ham):
+        with pytest.raises(ConfigurationError, match="finite"):
+            history_probability(rho4, ham, [(projector_onto(0), np.inf)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_heisenberg_projector_phase_overflow(self):
+        # finite t, but max|E| t passes the double range
+        h = np.diag([1e300, -1e300, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            heisenberg_projector(projector_onto(0), h, 1e10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_history_probability_phase_overflow(self, rho4):
+        h = np.diag([1e300, -1e300, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            history_probability(rho4, h, [(projector_onto(0), 1e10)])
+
+
+class TestShapesAndTypes:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: history_probability(projector_onto(0, 3), np.eye(2), [(projector_onto(0, 2), 1.0)]),
+         lambda: history_probability(projector_onto(0, 2), np.eye(3), [(projector_onto(0, 2), 1.0)]),
+         lambda: history_probability(projector_onto(0, 2), np.eye(2), [(projector_onto(0, 3), 1.0)]),
+         lambda: unitary_evolve(projector_onto(0, 3), np.eye(2), 1.0),
+         lambda: heisenberg_projector(projector_onto(0, 3), np.eye(2), 1.0),
+         lambda: collapse_selective(projector_onto(0, 3), projector_onto(0, 2))],
+        ids=["history_rho", "history_hamiltonian", "history_projector", "unitary_evolve",
+             "heisenberg_projector", "collapse_selective"],
+    )
+    def test_dimension_mismatch_refused(self, call):
+        # numpy's matmul used to raise its bare ValueError
+        with pytest.raises(ConfigurationError, match="dimensions differ"):
+            call()
+
+    @pytest.mark.parametrize("t", [True, "1.0", None, 1j], ids=["bool", "str", "none", "complex"])
+    def test_history_time_must_be_real(self, t):
+        with pytest.raises(ConfigurationError, match="real number"):
+            History(steps=((projector_onto(0), t),))
+
+    def test_numpy_times_accepted(self):
+        p = projector_onto(0)
+        hist = History(steps=((p, np.float32(0.5)), (p, np.int64(2))))
+        assert [t for _, t in hist.steps] == [0.5, 2.0]
+
+    @pytest.mark.parametrize("step", [(projector_onto(0),), (projector_onto(0), 1.0, 2.0), 1.0],
+                             ids=["one", "three", "number"])
+    def test_step_must_be_a_pair(self, step):
+        with pytest.raises(ConfigurationError, match="pair"):
+            History(steps=(step,))
+
+    def test_infinite_history_time_refused(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            History(steps=((projector_onto(0), np.inf),))
+
+
+def per_case_rows(levels, cases, time_scale, seed):
+    """histories_demo's rows case by case through the public functions, on
+    the draws the runner makes."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for case in range(cases):
+        rho = random_density(levels, rng)
+        a = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+        h = 0.5 * (a + a.conj().T)
+        fam1 = random_projector_family(levels, rng)
+        fam2 = random_projector_family(levels, rng)
+        t1 = time_scale * float(rng.uniform(0.2, 1.0))
+        t2 = t1 + time_scale * float(rng.uniform(0.2, 1.0))
+        prob = history_probability(rho, h, History(steps=((fam1[0], t1), (fam2[0], t2))))
+        try:
+            mid, p1 = collapse_selective(unitary_evolve(rho, h, t1), fam1[0])
+            _, p2 = collapse_selective(unitary_evolve(mid, h, t2 - t1), fam2[0])
+            seq = p1 * p2
+        except ZeroProbabilityError:
+            seq = 0.0
+        rows.append([case, t1, t2, prob, seq, abs(prob - seq), entropy(rho),
+                     entropy(collapse_nonselective(rho, fam1))])
+    return rows
+
+
+def run_demo(tmp_path, levels, cases, time_scale=1.0, seed=7):
+    config = {"kind": "histories_demo", "seed": seed,
+              "parameters": {"levels": levels, "cases": cases, "time_scale": time_scale}}
+    manifest = scenarios.run_scenario(config, out_dir=tmp_path)
+    with open(tmp_path / "histories_demo.csv", newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    return manifest, rows
+
+
+class TestStackedRunner:
+    @pytest.mark.parametrize("levels, time_scale", [(2, 1.0), (5, 3.7), (32, 0.4)])
+    def test_matches_public_route(self, tmp_path, levels, time_scale):
+        # one case past a block boundary
+        cases = scenarios._HISTORY_BLOCK + 1
+        manifest, rows = run_demo(tmp_path, levels, cases, time_scale)
+        want = per_case_rows(levels, cases, time_scale, seed=7)
+        assert len(rows) == len(want) == cases
+        for got, ref in zip(rows, want):
+            assert got[:3] == ref[:3]
+            assert np.abs(np.subtract(got[3:], ref[3:])).max() <= 1e-13, (got, ref)
+        achieved = manifest["achieved"]
+        assert achieved["history_vs_sequential_max_diff"] == max(r[5] for r in rows)
+        assert abs(achieved["entropy_min_gain"] - min(r[7] - r[6] for r in want)) <= 1e-13
+
+    def test_one_eigendecomposition_per_block(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(histories, "eigh", counted)
+        block = scenarios._HISTORY_BLOCK
+        run_demo(tmp_path, 3, 2 * block + 1)
+        assert calls == [(block, 3, 3), (block, 3, 3), (1, 3, 3)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_null_outcome_gives_zero(self):
+        # case 0: the pure state |0> stays orthogonal to P1 = |1><1| under a
+        # diagonal H, so the sequential route conditions on a null outcome;
+        # case 1 conditions on P1 = |0><0| and is the public route's value
+        rho = np.stack([projector_onto(0, 3), np.eye(3) / 3.0])
+        h = np.stack([np.diag([0.3, -1.2, 2.0]), np.diag([0.1, 0.5, 0.9])]).astype(complex)
+        first = np.stack([projector_onto(1, 3), projector_onto(0, 3)])
+        v = np.ones(3) / np.sqrt(3.0)
+        second = np.stack([np.outer(v, v)] * 2).astype(complex)
+        t1, t2 = np.array([0.4, 0.7]), np.array([1.1, 1.5])
+        u1, u2, u21 = histories._propagator(eigh(h), np.stack([t1, t2, t2 - t1]))
+        seq = histories._sequential(rho, first, u1, second, u21)
+        chained = histories._history(rho, histories._chain(((first, u1), (second, u2))))
+        assert seq[0] == 0.0
+        assert chained[0] <= 1e-30
+        with pytest.raises(ZeroProbabilityError):
+            collapse_selective(unitary_evolve(rho[0], h[0], t1[0]), first[0])
+        mid, p1 = collapse_selective(unitary_evolve(rho[1], h[1], t1[1]), first[1])
+        _, p2 = collapse_selective(unitary_evolve(mid, h[1], t2[1] - t1[1]), second[1])
+        assert seq[1] == pytest.approx(p1 * p2, abs=1e-15)
+        assert chained[1] == pytest.approx(p1 * p2, abs=1e-15)
+
+    def test_stacked_checks_refuse_one_bad_case(self):
+        # one check per stack still refuses a stack with one bad member
+        good = projector_onto(0)
+        with pytest.raises(ConfigurationError, match="idempotent"):
+            histories._projector(np.stack([good, 0.5 * good]), stacked=True)
+        with pytest.raises(ConfigurationError, match="trace"):
+            histories._density_spectrum(np.stack([good, 2.0 * good]), stacked=True)
+        with pytest.raises(ConfigurationError, match="square"):
+            histories._projector(good, stacked=True)
 
 
 class TestTwoLevelSurvival:

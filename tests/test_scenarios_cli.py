@@ -604,6 +604,19 @@ class TestCli:
             assert error["message"].startswith(path + ":"), error
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
+    def test_histories_phase_overflow_exits_2(self, tmp_path):
+        # time_scale passes the schema, but max|E| t of the first case's
+        # Hamiltonian passes the double range; numpy's overflow warning
+        # used to end the run as a DomainError
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "histories_demo",
+                                      "parameters": {"time_scale": 4e307}}))
+        got, err, caught = run_cli(["run", str(config), "--out-dir", str(tmp_path / "out")])
+        assert (got, caught) == (2, [])
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigurationError" and "not finite" in error["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
     @pytest.mark.parametrize(
         "source, extra, args, code",
         [("x" * 5000, {}, [], 2),

@@ -81,7 +81,7 @@ import numpy as np
 from scipy.special import exp1, wofz
 
 from .errors import ArrowOfTimeError, ConfigurationError, QuadratureError
-from .expansion import PairingResult, _require_pair
+from .expansion import PairingResult, _forward, _require_pair
 from .surface import SMatrixModel
 from .survival import SpectralDensity, _pole_residues
 
@@ -229,7 +229,10 @@ class PrincipalParts:
     coefficients[j] its c_1..c_N and errors[j] their rounding bounds.
     The points where `pairing` evaluates B_1 (each pole, then a circle
     around each pole of order two or more) are fixed here, since they
-    do not depend on t.
+    do not depend on t, and so are the linear maps from B_1 at those
+    points to every K_n and its error bound.  `pairing` holds the K_n of
+    all poles as one row per t, in the order of the coefficients: c_1..c_N
+    of the first pole, then of the next.
     """
 
     poles: tuple
@@ -261,37 +264,100 @@ class PrincipalParts:
                 energies.extend(nodes * nodes)
             first[q] = (at, circle)
             plans.append((at, 1.0, circle))
-        object.__setattr__(self, "_points", np.array(base, dtype=complex))
-        object.__setattr__(self, "_energies", np.array(energies, dtype=complex))
-        object.__setattr__(self, "_plans", tuple(plans))
+        points = len(base)
+        # B_1(sign q') over the points q' is column at' of the signed halves
+        # [B_1(q'), B_1(-q')], at' = at for sign 1 and points + at for -1
+        ends = np.cumsum([0, *map(len, self.coefficients)])
+        first_cols = ends[:-1]
+        higher = np.ones(ends[-1], dtype=bool)
+        higher[first_cols] = False
+        higher = np.flatnonzero(higher)
+        lead = np.array([at + (sign < 0) * points for at, sign, _ in plans], dtype=int)
+        # B_n = mean over the circle of B_1(q + r u) (r u)^{1-n}, n >= 2;
+        # the nodes around -q are the negated nodes around q.  Per column
+        # of `higher`: the weights of the signed halves, the means over the
+        # circle of the errors and of (n + 1) eps |B_1|, and r^{1-n}
+        weights = np.zeros((2 * points, higher.size), dtype=complex)
+        spread = np.zeros((points, higher.size))
+        mag = np.zeros((2 * points, higher.size))
+        scale = np.zeros(higher.size)
+        col = 0
+        for (at, sign, circle), n_max in zip(plans, map(len, self.coefficients)):
+            for n in range(2, n_max + 1):
+                where, radius = circle
+                rows = np.arange(where.start, where.stop) + (sign < 0) * points
+                weights[rows, col] = (sign * _CIRCLE) ** (1 - n) / _CIRCLE_NODES
+                spread[where, col] = 1.0 / _CIRCLE_NODES
+                mag[rows, col] = (n + 1) * _EPS / _CIRCLE_NODES
+                scale[col] = radius ** (1 - n)
+                col += 1
+        # the poles in the rotated sector, whose residue terms K_n adds
+        sector = tuple((q, e, slice(lo, hi)) for q, e, lo, hi
+                       in zip(self.poles, self.energies, ends[:-1], ends[1:])
+                       if q.imag < 0.0 < q.real + q.imag)
+        for name, value in (
+                ("_points", np.array(base, dtype=complex)),
+                ("_energies", np.array(energies, dtype=complex)),
+                ("_lead", (first_cols, lead, lead % points)),
+                ("_higher", (higher, weights, spread, mag, scale)),
+                ("_sector", sector),
+                ("_coef", (np.concatenate(self.coefficients), np.concatenate(self.errors)))):
+            object.__setattr__(self, name, value)
 
     def pairing(self, t):
-        """I(t) = sum_q sum_n c_{q,n} K_n(q, t) and its error bound."""
-        if not t >= 0.0:
-            raise ArrowOfTimeError(f"the pairing evolves forward only, got t = {t}")
-        if not math.isfinite(t):
-            raise ConfigurationError(f"the pairing needs a finite time, got t = {t}")
-        if t > 0.0:
-            e1x, f, e1_err, f_err = _ray_parts(self._points, self._energies, t)
-        value, error, size = 0j, 0.0, 0.0
-        for q, e, coef, cerr, (at, sign, circle) in zip(
-                self.poles, self.energies, self.coefficients, self.errors, self._plans):
-            if t == 0.0:
-                k, kerr = _elementary(q, len(coef))
-            else:
-                k, kerr = _k_integrals(q, e, t, len(coef), at, sign, circle,
-                                       e1x, f, e1_err, f_err)
-            terms = coef * k
-            value += complex(np.sum(terms))
-            size += float(np.sum(np.abs(terms)))
-            error += float(np.sum(np.abs(coef) * kerr + cerr * np.abs(k)))
-        error += 2.0 * _EPS * size
-        if not error <= _LIMIT * abs(value):
+        """I(t) = sum_q sum_n c_{q,n} K_n(q, t) and its error bound, at a
+        time t or at each t of a 1-D array of them (then as arrays).
+
+        All t > 0 share one evaluation of e^x E1(x) and F over the
+        points and times, and t = 0 takes the elementary integrals.  A
+        bound past 1e-9 of |I| raises QuadratureError at the first such t.
+        """
+        ts = _forward(t, "the pairing evolves forward only", finite=True)
+        times = np.atleast_1d(ts)
+        coef, cerr = self._coef
+        k = np.empty((times.size, coef.size), dtype=complex)
+        kerr = np.empty(k.shape)
+        later = times > 0.0
+        if not later.all():
+            at_zero = [_elementary(q, len(c)) for q, c in zip(self.poles, self.coefficients)]
+            k[~later], kerr[~later] = (np.concatenate(parts) for parts in zip(*at_zero))
+        if later.any():
+            k[later], kerr[later] = self._k_integrals(times[later])
+        terms = coef * k
+        size = np.sum(np.abs(terms), axis=-1)
+        value = np.sum(terms, axis=-1)
+        error = np.sum(np.abs(coef) * kerr + cerr * np.abs(k), axis=-1) + 2.0 * _EPS * size
+        gated = error <= _LIMIT * np.abs(value)
+        if not gated.all():
+            i = np.argmin(gated)
             raise QuadratureError(
-                f"closed-form pairing at t = {t:g} cancels past its bound "
-                f"({error:.3e} against |I| = {abs(value):.3e})"
+                f"closed-form pairing at t = {times[i]:g} cancels past its bound "
+                f"({error[i]:.3e} against |I| = {abs(value[i]):.3e})"
             )
-        return PairingResult(value=value, error=error)
+        if ts.ndim:
+            return PairingResult(value=value, error=error)
+        return PairingResult(value=complex(value[0]), error=float(error[0]))
+
+    def _k_integrals(self, t):
+        """K_n of every pole at each t > 0 of an array, one row per t, and
+        their error bounds, from one evaluation of B_1 at every point."""
+        e1x, f, e1_err, f_err = _ray_parts(self._points, self._energies, t)
+        halves = 0.5 * np.concatenate([e1x + f, e1x - f], axis=-1)
+        half_err = 0.5 * (e1_err + f_err)
+        k = np.empty((t.size, self._coef[0].size), dtype=complex)
+        err = np.empty(k.shape)
+        cols, lead, lead_err = self._lead
+        k[:, cols] = halves[:, lead]
+        err[:, cols] = half_err[:, lead_err] + _EPS * np.abs(k[:, cols])
+        cols, weights, spread, mag, scale = self._higher
+        if cols.size:
+            k[:, cols] = (halves @ weights) * scale
+            err[:, cols] = (half_err @ spread + np.abs(halves) @ mag) * scale
+        for q, energy, cols in self._sector:
+            res, res_err = _residues(q, energy, t, cols.stop - cols.start)
+            k[:, cols] += res
+            err[:, cols] += res_err
+        return k, err
 
 
 def principal_parts(psi, state, model):
@@ -381,10 +447,10 @@ def _e1_scaled(x):
 
 def _ray_parts(q, energy, t):
     """e^x E1(x) and F(q) at the momenta q (an array) with q^2 = energy,
-    x = -i energy t, and their rounding bounds;
-    B_1(+-q) = [e^x E1(x) +- F(q)] / 2."""
-    e1x, e1_err = _e1_scaled(-1j * t * energy)
-    z = _ROT * math.sqrt(t) * q
+    x = -i energy t, for each t of an array (one row per t), and their
+    rounding bounds; B_1(+-q) = [e^x E1(x) +- F(q)] / 2."""
+    e1x, e1_err = _e1_scaled(np.multiply.outer(-1j * t, energy))
+    z = np.multiply.outer(_ROT * np.sqrt(t), q)
     upper = z.imag > 0.0
     zu = np.where(upper, z, -z)
     w = wofz(zu)
@@ -394,43 +460,32 @@ def _ray_parts(q, energy, t):
     return e1x, f, e1_err, math.pi * (_SPECIAL_REL * np.abs(w) + 4.0 * _EPS * dw)
 
 
-def _k_integrals(q, energy, t, order, at, sign, circle, e1x, f, e1_err, f_err):
-    """K_n(q, t) for n = 1..order, t > 0, and their error bounds.
+def _residues(q, energy, t, order):
+    """The residue terms -2 pi i Res[e^{-i k^2 t} (k - q)^-n], n = 1..order,
+    of a pole q in the rotated sector at each t > 0 of an array (one row
+    per t), and their bounds: -2 pi i e^{-i q^2 t} times the coefficient
+    of h^{n-1} in e^{a h} e^{b h^2}, a = -2 i q t, b = -i t."""
+    a, b = -2j * q * t, -1j * t
+    lin = np.ones((t.size, order), dtype=complex)
+    quad = np.zeros(lin.shape, dtype=complex)
+    quad[:, 0] = 1.0
+    for m in range(1, order):
+        lin[:, m] = lin[:, m - 1] * a / m
+        if 2 * m < order:
+            quad[:, 2 * m] = quad[:, 2 * (m - 1)] * b / m
+    front = (-2j * math.pi * np.exp(-1j * energy * t))[:, None]
+    mag = np.abs(front) * _convolve(np.abs(lin), np.abs(quad))
+    return (front * _convolve(lin, quad),
+            mag * _EPS * (2.0 * np.abs(energy * t)[:, None] + 2.0 * np.arange(1, order + 1) + 4.0))
 
-    B_1 is [e1x + sign f] / 2 at index `at` of the evaluated points and,
-    for order >= 2, on `circle` = (slice, radius) around sign q, whose
-    nodes are symmetric under u -> -u."""
-    k = np.empty(order, dtype=complex)
-    err = np.empty(order)
-    k[0] = 0.5 * (e1x[at] + sign * f[at])
-    err[0] = 0.5 * (e1_err[at] + f_err[at]) + _EPS * abs(k[0])
-    if order > 1:
-        # B_n = mean over the circle of B_1(q + r u) (r u)^{1-n}; the nodes
-        # around -q are the negated nodes around q
-        where, radius = circle
-        vals = 0.5 * (e1x[where] + sign * f[where])
-        spread = 0.5 * np.mean(e1_err[where] + f_err[where])
-        mag = np.mean(np.abs(vals))
-        for n in range(2, order + 1):
-            scale = radius ** (1 - n)
-            k[n - 1] = np.mean(vals * (sign * _CIRCLE) ** (1 - n)) * scale
-            err[n - 1] = (spread + (n + 1) * _EPS * mag) * scale
-    if q.imag < 0.0 < q.real + q.imag:
-        # the residue of e^{-i k^2 t} (k - q)^-n: -2 pi i times the
-        # coefficient of h^{n-1} in e^{-i (q + h)^2 t}
-        a, b = -2j * q * t, -1j * t
-        lin = np.ones(order, dtype=complex)
-        quad = np.zeros(order, dtype=complex)
-        quad[0] = 1.0
-        for m in range(1, order):
-            lin[m] = lin[m - 1] * a / m
-            if 2 * m < order:
-                quad[2 * m] = quad[2 * (m - 1)] * b / m
-        front = -2j * math.pi * cmath.exp(-1j * energy * t)
-        k += front * np.convolve(lin, quad)[:order]
-        mag = abs(front) * np.convolve(np.abs(lin), np.abs(quad))[:order]
-        err += mag * _EPS * (2.0 * abs(energy * t) + 2.0 * np.arange(1, order + 1) + 4.0)
-    return k, err
+
+def _convolve(a, b):
+    """The Cauchy product of rows of series coefficients, truncated to
+    their length."""
+    out = np.zeros_like(a)
+    for m in range(a.shape[-1]):
+        out[:, m] = np.sum(a[:, :m + 1] * b[:, m::-1], axis=-1)
+    return out
 
 
 def survival_amplitude(density, t):

@@ -30,7 +30,6 @@ phi(z_i) Res S(k_i) with z_i = k_i^2.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,16 +71,20 @@ class TruncationError(NamedTuple):
 
     @classmethod
     def from_parts(cls, trunc, bg):
-        """Weight of the background bg against the full value trunc + bg.
+        """Weight of the background bg against the full value trunc + bg,
+        for numbers or element-wise for arrays.
 
-        Falls back to the absolute difference (relative=False) when the
+        Falls back to the absolute difference (relative=False) where the
         full value is numerically zero.
         """
-        full = trunc + bg
-        diff = abs(full - trunc)
-        if abs(full) < 1e-15 * max(abs(trunc), 1.0):
-            return cls(error=diff, relative=False)
-        return cls(error=diff / abs(full), relative=True)
+        full = np.add(trunc, bg)
+        diff = np.abs(full - trunc)
+        size = np.abs(full)
+        relative = size >= 1e-15 * np.maximum(np.abs(trunc), 1.0)
+        error = diff / np.where(relative, size, 1.0)
+        if np.ndim(error):
+            return cls(error=error, relative=relative)
+        return cls(error=float(error), relative=bool(relative))
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,24 @@ class PreparedState:
             raise HardyClassError(
                 "prepared states live in the LOWER Hardy class (H2-)"
             )
+
+
+def _forward(t, message, finite=False):
+    """t, a real number or a 1-D array of them, as floats.  The first
+    entry that is not t >= 0 (NaN included) is refused with
+    ArrowOfTimeError and `message`; with `finite`, an infinite one with
+    ConfigurationError."""
+    ts = np.asarray(t)
+    if ts.ndim > 1 or ts.dtype.kind not in "biuf":
+        raise ConfigurationError(f"need a real time or a one-dimensional grid of them, got {t!r}")
+    ts = ts.astype(float)
+    bad = ~(ts >= 0.0) | (finite & np.isinf(ts))
+    if bad.any():
+        first = ts[np.argmax(bad)] if ts.ndim else ts
+        if not first >= 0.0:
+            raise ArrowOfTimeError(f"{message}, got t = {first}")
+        raise ConfigurationError(f"need a finite time, got t = {first}")
+    return ts
 
 
 def _as_wave(state):
@@ -171,22 +192,38 @@ class ResonanceExpansion:
         if not all(map(np.array_equal, (self.ray_nodes, self.ray_weights), LAPLACE_RULE)):
             raise ConfigurationError("the background table must lie on the Laplace rule")
         object.__setattr__(self, "_table", LaplaceTable(self.ray_values, power=2))
-        # (-i z_i, b_i) per pole, so pole_sum is one cmath.exp per term
-        rates = tuple(-1j * complex(z) for z in self.eigenvalues)
-        object.__setattr__(self, "_poles", tuple(zip(rates, self.coefficients)))
+        # -i z_i per pole, so the pole terms are e^{t (-i z_i)} b_i
+        object.__setattr__(self, "_rates", -1j * np.array(self.eigenvalues, dtype=complex))
+        object.__setattr__(self, "_coefficients", np.array(self.coefficients, dtype=complex))
 
     @property
     def eigenvalues(self):
         return tuple(p.position for p in self.model.poles)
 
     def pole_sum(self, t):
-        """Sum of resonance terms b_i e^{-i z_i t}, t >= 0."""
-        if not t >= 0.0:
-            raise ArrowOfTimeError(f"expansion terms evolve forward only, got t = {t}")
-        try:
-            return complex(sum(b * cmath.exp(rate * t) for rate, b in self._poles))
-        except ValueError:  # E_i t past the double range leaves the phase undefined
-            raise DomainError(f"pole phase overflows the double range at t = {t:g}") from None
+        """Sum of resonance terms b_i e^{-i z_i t} at a time t >= 0, or at
+        each t of a 1-D array of them."""
+        ts = _forward(t, "expansion terms evolve forward only")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a sum along the last axis adds in the same order for a float
+            # and for a grid, so both give the same bits
+            sums = np.sum(np.exp(np.multiply.outer(ts, self._rates)) * self._coefficients,
+                          axis=-1)
+        finite = np.isfinite(sums)
+        if not finite.all():  # E_i t past the double range leaves the phase undefined
+            bad = ts[np.argmin(finite)] if ts.ndim else ts
+            raise DomainError(f"pole phase overflows the double range at t = {bad:g}")
+        return sums if ts.ndim else complex(sums)
+
+    def grid(self, times):
+        """(pole sums, backgrounds, background errors) at each t of a 1-D
+        array: `reconstruct`'s parts on one Laplace product per chunk of
+        times, with each pole sum computed once and gated on as the floor."""
+        ts = _forward(times, "expansion terms evolve forward only")
+        if ts.ndim != 1:
+            raise ConfigurationError(f"need a one-dimensional time grid, got {times!r}")
+        poles = self.pole_sum(ts)
+        return (poles, *self._table.grid(ts, floors=np.abs(poles)))
 
     def background_with_error(self, t):
         """Background integral at time t and its error, from the Laplace table
@@ -269,8 +306,7 @@ def background_profile(expansion, times):
         raise ArrowOfTimeError("background profile needs t >= 0")
     if np.any(np.diff(ts) <= 0.0):
         raise ConfigurationError("time grid must be strictly increasing")
-    mags = np.array([abs(expansion.background(t)) for t in ts])
-    return ts, mags
+    return ts, np.abs(expansion.grid(ts)[1])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,26 @@ _ATOL = 1e-12
 _NULL = 1e-14
 
 
-def _square(m, what, stacked=False):
-    """m as a complex array, refused unless square, nonempty and finite;
-    a stack has one leading axis."""
+def _square(m, what, stacked=False, degree=1):
+    """m as a complex array, refused unless square, nonempty, finite and
+    of entries small enough that the checks' arithmetic stays finite; a
+    stack has one leading axis.
+
+    One pass over the real and imaginary parts bounds every part by
+    (max / 4n)^(1 / degree): then sums of n entries and differences of
+    two (degree 1) or sums of n products of two (degree 2, the
+    projector checks) cannot overflow.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or not m.size:
         raise ConfigurationError(f"{what} must be a nonempty square matrix")
-    if not np.isfinite(m).all():
+    top = np.maximum(np.abs(m.real).max(), np.abs(m.imag).max())
+    if not np.isfinite(top):
         raise ConfigurationError(f"{what} must be finite")
+    limit = (sys.float_info.max / (4 * m.shape[-1])) ** (1.0 / degree)
+    if top > limit:
+        raise ConfigurationError(
+            f"{what} has an entry of size {top:.3e}, past the {limit:.3e} its checks allow")
     return m
 
 
@@ -105,7 +118,7 @@ def validate_density(rho):
 
 
 def _projector(p, stacked=False):
-    p = _square(p, "a projector", stacked)
+    p = _square(p, "a projector", stacked, degree=2)
     if not _close(p, _dagger(p), _ATOL):
         raise ConfigurationError("projector is not hermitian")
     if not _close(p @ p, p, 1e-10):
@@ -249,10 +262,27 @@ def _entropy(w):
     return -np.sum(w * np.log(w), axis=-1)
 
 
+def _real_time(t):
+    """t as a float, refused unless a real number that is not a bool."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ConfigurationError(f"a time must be a real number, got {t!r}")
+    return float(t)
+
+
+def _forward_time(t, arrow):
+    """t as a float: a real number, t >= 0 (ArrowOfTimeError with the
+    message `arrow` otherwise, NaN included) and finite."""
+    t = _real_time(t)
+    if not t >= 0.0:
+        raise ArrowOfTimeError(f"{arrow}, got t = {t}")
+    if not math.isfinite(t):
+        raise ConfigurationError(f"the time t = {t} is not finite")
+    return t
+
+
 def unitary_evolve(rho, hamiltonian, t):
     """e^{-iHt} rho e^{iHt} for t >= 0 (forward arrow as everywhere)."""
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"evolution is forward only, got t = {t}")
+    t = _forward_time(t, "evolution is forward only")
     rho = validate_density(rho)
     h = _require_hermitian(hamiltonian)
     _same_size(rho, h)
@@ -261,8 +291,7 @@ def unitary_evolve(rho, hamiltonian, t):
 
 def heisenberg_projector(p, hamiltonian, t):
     """P(t) = e^{iHt} P e^{-iHt} for t >= 0."""
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"Heisenberg projectors need t >= 0, got {t}")
+    t = _forward_time(t, "Heisenberg projectors need t >= 0")
     p = validate_projector(p)
     h = _require_hermitian(hamiltonian)
     _same_size(p, h)
@@ -311,9 +340,7 @@ class History:
                 raise ConfigurationError(
                     f"a history step must be a (projector, time) pair, got {step!r}"
                 ) from None
-            if isinstance(t, bool) or not isinstance(t, numbers.Real):
-                raise ConfigurationError(f"a history time must be a real number, got {t!r}")
-            t = float(t)
+            t = _real_time(t)
             if not t > last_t:
                 raise ArrowOfTimeError(
                     f"history times must be strictly increasing and positive, "
@@ -343,8 +370,7 @@ def two_level_survival(coefficients, matrix, projector_weights, t):
     |sum_i w_i b_i e^{-i z_i t}|^2 for effective eigenvalues z_i; the
     kaon-style interference formula of the diagonal effective theory.
     """
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"effective evolution is forward only, got t = {t}")
+    t = _forward_time(t, "effective evolution is forward only")
     b = np.asarray(coefficients, dtype=complex)
     w = np.asarray(projector_weights, dtype=complex)
     z = np.asarray(matrix.eigenvalues, dtype=complex)

@@ -4,13 +4,14 @@
 Lorentzian on (0, inf) or the whole line by a nested tanh-sinh ladder on
 the Lorentzian's angle, at a cost that does not grow as the line narrows.
 `LaplaceTable` freezes a Laplace integral of f(x) e^{-x^p t} on one
-nested exp-sinh rule and sums it at any t >= 0 under one error bound and
-one gate; the survival leg, the expansion background and
-`integrate_exp_sinh` share it.  The scipy wrappers adapt
-``scipy.integrate.quad`` to complex integrands on intervals and half
-lines and to oscillatory Fourier weights; their real/imaginary (and
-cos/sin) passes share one evaluation of the integrand per abscissa.  The
-midpoint rule on a circle gives contour residues.
+nested exp-sinh rule and sums it at any t >= 0, or over a whole grid of
+t at once, under one error bound and one gate; the survival leg, the
+expansion background and `integrate_exp_sinh` share it.  The scipy
+wrappers adapt ``scipy.integrate.quad`` to complex integrands on
+intervals and half lines and to oscillatory Fourier weights; their
+real/imaginary (and cos/sin) passes share one evaluation of the
+integrand per abscissa.  The midpoint rule on a circle gives contour
+residues.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ def exp_sinh_rule(h, clip=3.7):
 LAPLACE_RULE = exp_sinh_rule(2.0**-9, 4.625)
 LAPLACE_TOL = 1e-12
 _EPS = np.finfo(float).eps
+# times per product in `LaplaceTable.grid`: a stride-16 chunk of
+# e^{-x_j^power t} is 297 x 256 doubles, about 0.6 MB
+_GRID_CHUNK = 256
 
 
 def laplace_sample(f):
@@ -128,6 +132,15 @@ class LaplaceTable:
         object.__setattr__(self, "_rows", [np.vstack([rows[0], coarse])] + rows[1:])
         object.__setattr__(self, "_ends", (float(ends[0]), float(ends[1])))
 
+    def _refuse(self, t, error, clipped, bound):
+        """The refusal of an unresolved t: DomainError where x_N^power t
+        overflows, QuadratureError otherwise."""
+        rate_n = _summation_order(self.power)[4]
+        failure = DomainError if math.isinf(rate_n * t) else QuadratureError
+        past = "; x_N^power t is past the double range" if failure is DomainError else ""
+        return failure(f"Laplace table unresolved at t = {t:g}: error {error:.3e} with "
+                       f"clipped mass {clipped:.3e} against bound {bound:.3e}{past}")
+
     def __call__(self, t, floor=0.0):
         """(F(t), error) on the coarsest stride that meets the gate.
 
@@ -138,15 +151,16 @@ class LaplaceTable:
         misses when two strides round alike.  It must be within
         LAPLACE_TOL of max(floor, |F(t)|); past the full rule, raises
         QuadratureError, or DomainError where x_N^power t overflows.
+        `grid` does the same over an array of t.
         """
         t = float(t)
         _, _, neg_rates, rate_0, rate_n, gamma = _summation_order(self.power)
-        failure = DomainError if math.isinf(rate_n * t) else QuadratureError
+        overflow = math.isinf(rate_n * t)
         head, tail = self._ends
         clipped = (head / max(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
                    + tail * math.exp(-rate_n * t))
         # e^{-r t} = 0 where r t overflows (errstate costs 1 us, so only then)
-        with np.errstate(over="ignore") if failure is DomainError else nullcontext():
+        with np.errstate(over="ignore") if overflow else nullcontext():
             acc = self._rows[0] @ np.exp(neg_rates[0] * t)
             coarse, acc = 32 * complex(acc[3], acc[4]), acc[:3]
             for stride, r, rows in zip((16, 8, 4, 2, 1), neg_rates, self._rows):
@@ -158,9 +172,63 @@ class LaplaceTable:
                 bound = LAPLACE_TOL * max(floor, abs(value))
                 if error <= bound:
                     return (value.real if self.values.dtype.kind == "f" else value), error
-        past = "; x_N^power t is past the double range" if failure is DomainError else ""
-        raise failure(f"Laplace table unresolved at t = {t:g}: error {error:.3e} with "
-                      f"clipped mass {clipped:.3e} against bound {bound:.3e}{past}")
+        raise self._refuse(t, error, clipped, bound)
+
+    def grid(self, times, floors=0.0):
+        """`__call__` over a 1-D array of t: arrays of F(t) and errors.
+
+        Each stride level is one product of the table's rows with
+        e^{-x_j^power t} over nodes x t, and only the t the level leaves
+        unresolved go on to the next.  The t are taken _GRID_CHUNK at a
+        time, so memory does not grow with their number.  floors is a
+        float or one floor per t; the gate and the refusals are those of
+        `__call__`, raised at the first unresolved t.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ConfigurationError(f"need a one-dimensional time grid, got {times.shape}")
+        floors = np.broadcast_to(np.asarray(floors, dtype=float), times.shape)
+        values = np.empty(times.shape, dtype=complex)
+        errors = np.empty(times.shape)
+        for start in range(0, times.size, _GRID_CHUNK):
+            part = slice(start, start + _GRID_CHUNK)
+            self._grid_chunk(times[part], floors[part], values[part], errors[part])
+        return (values.real if self.values.dtype.kind == "f" else values), errors
+
+    def _grid_chunk(self, t, floor, values, errors):
+        """Fill values and errors at the times t (one chunk)."""
+        _, _, neg_rates, rate_0, rate_n, gamma = _summation_order(self.power)
+        head, tail = self._ends
+        pending = np.arange(t.size)  # indices not yet resolved
+        # e^{-r t} = 0 where r t overflows
+        with np.errstate(over="ignore"):
+            clipped = (head / np.maximum(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
+                       + tail * np.exp(-rate_n * t))
+            acc = self._rows[0] @ _decay(neg_rates[0], t)
+            coarse, acc = 32 * (acc[3] + 1j * acc[4]), acc[:3]
+            for stride, r, rows in zip((16, 8, 4, 2, 1), neg_rates, self._rows):
+                if stride < 16:  # add the nodes new at this stride
+                    coarse = 2 * stride * (acc[0] + 1j * acc[1])
+                    acc = acc + rows @ _decay(r, t)
+                value = stride * (acc[0] + 1j * acc[1])
+                error = np.abs(value - coarse) + clipped + _EPS * stride * acc[2]
+                bound = LAPLACE_TOL * np.maximum(floor, np.abs(value))
+                done = error <= bound
+                values[pending[done]] = value[done]
+                errors[pending[done]] = error[done]
+                if done.all():
+                    return
+                left = ~done
+                pending, t, floor, clipped = pending[left], t[left], floor[left], clipped[left]
+                acc, coarse = acc[:, left], coarse[left]
+        raise self._refuse(float(t[0]), float(error[left][0]), float(clipped[0]),
+                           float(bound[left][0]))
+
+
+def _decay(neg_rates, t):
+    """e^{-r_j t} over nodes x times, exponentiated in place."""
+    out = np.multiply.outer(neg_rates, t)
+    return np.exp(out, out=out)
 
 
 def integrate_exp_sinh(f):

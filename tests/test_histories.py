@@ -346,6 +346,55 @@ class TestShapesAndTypes:
         with pytest.raises(ConfigurationError, match="finite"):
             History(steps=((projector_onto(0), np.inf),))
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda t: unitary_evolve(projector_onto(0), np.eye(4), t),
+         lambda t: heisenberg_projector(projector_onto(0), np.eye(4), t),
+         lambda t: two_level_survival([1.0], EffectiveMatrix((1.0 - 0.1j,)), [1.0], t)],
+        ids=["unitary_evolve", "heisenberg_projector", "two_level_survival"],
+    )
+    @pytest.mark.parametrize("t", ["1.0", np.array([1.0, 2.0]), True, np.inf],
+                             ids=["str", "array", "bool", "inf"])
+    @pytest.mark.filterwarnings("error")
+    def test_time_must_be_a_finite_real_number(self, call, t):
+        # a string ended in a TypeError, an array in numpy's ambiguous
+        # truth value, and True ran as t = 1
+        with pytest.raises(ConfigurationError):
+            call(t)
+
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalar_times_accepted(self, rho4, ham):
+        assert np.allclose(unitary_evolve(rho4, ham, np.float32(0.5)),
+                           unitary_evolve(rho4, ham, 0.5))
+        assert unitary_evolve(rho4, ham, np.int64(0)) == pytest.approx(rho4)
+
+
+class TestScale:
+    # entries this large used to overflow in the checks' own arithmetic,
+    # a RuntimeWarning under warnings-as-errors, before they were refused
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: validate_projector(np.diag([1e300, 0.0])),
+         lambda: unitary_evolve(np.diag([0.5, 0.5]), np.array([[0.0, 1e308], [-1e308, 0.0]]),
+                                1.0),
+         lambda: validate_density(np.diag([1e308, 1e308])),
+         lambda: histories._family(np.stack([np.diag([1e300, 0.0])] * 3)[None], stacked=True)],
+        ids=["projector", "hamiltonian", "density", "projector_stack"],
+    )
+    def test_huge_entries_refused(self, call):
+        with pytest.raises(ConfigurationError, match="past the"):
+            call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_hamiltonian_reaches_the_phase_check(self):
+        # a Hamiltonian is checked only by linear arithmetic, so 1e300
+        # passes the scale check and the propagator refuses its phase
+        h = np.diag([1e300, -1e300, 0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="not finite"):
+            unitary_evolve(projector_onto(0), h, 1e10)
+        assert np.allclose(unitary_evolve(projector_onto(0), h, 0.0), projector_onto(0))
+
 
 def per_case_rows(levels, cases, time_scale, seed):
     """histories_demo's rows case by case through the public functions, on

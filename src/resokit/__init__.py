@@ -58,7 +58,6 @@ from .surface import (
     SMatrixModel,
     energy_to_momentum,
     momentum_to_energy,
-    poles_of,
     unitarity_deviation,
 )
 from .survival import (
@@ -80,7 +79,6 @@ __all__ = [
     "ResonancePole",
     "BackgroundPhase",
     "SMatrixModel",
-    "poles_of",
     "unitarity_deviation",
     "HalfPlane",
     "HardyFunction",

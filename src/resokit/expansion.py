@@ -153,12 +153,13 @@ def smatrix_pairing_direct(psi, state, model, t):
 
     QUADPACK integrates to infinity with nothing cut: QAGI at t = 0,
     where the integrand is rational, and the Fourier algorithm QAWF at
-    t > 0.  This is the only oracle for models with a background phase;
-    `exact.principal_parts` pairs pole-only models in closed form.
+    t > 0.  No scenario calls it, and it is no reference for `expand`:
+    `exact.principal_parts` pairs pole-only models in closed form, and
+    the tests hold background-phase models to frozen mpmath values.
     Neither QUADPACK path resolves narrow lines: at Gamma = 1e-2 both
     are off by up to 3e-8 relative, and at Gamma <= 1e-3 QAWF can miss
-    the line entirely (off by 0.5 at 3 lifetimes of the built-in waves
-    while it reports 3e-5), so it is not a reference there.
+    the line entirely (off by 0.92 relative at 3 lifetimes of the
+    built-in waves and a background phase, while it reports 3.3e-5).
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("smatrix_pairing_direct needs an SMatrixModel")
@@ -298,15 +299,13 @@ def expand(psi, state, model):
 
 
 def background_profile(expansion, times):
-    """|background| sampled on a strictly increasing time grid."""
+    """|background| sampled on a nonempty, strictly increasing time grid;
+    `ResonanceExpansion.grid` checks the times as it checks its own."""
+    backgrounds = expansion.grid(times)[1]
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ConfigurationError("need a one-dimensional, nonempty time grid")
-    if not np.all(ts >= 0.0):
-        raise ArrowOfTimeError("background profile needs t >= 0")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ConfigurationError("time grid must be strictly increasing")
-    return ts, np.abs(expansion.grid(ts)[1])
+    if ts.size == 0 or np.any(np.diff(ts) <= 0.0):
+        raise ConfigurationError("need a nonempty, strictly increasing time grid")
+    return ts, np.abs(backgrounds)
 
 
 @dataclass(frozen=True)

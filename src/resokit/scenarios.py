@@ -56,10 +56,10 @@ _HISTORY_BLOCK = 64
 # closed-form amplitude
 _CROSS_LIMIT = 1e-9
 
-# One key of a config object.  type is number, int, half_plane ("upper"
-# or "lower"), an object type of _OBJECTS, or a list type of _LISTS (a
-# nonempty list of its item type); gt, ge and le bound every number, and
-# every number is finite.
+# One key of a config object.  type is number, int, a type of _AS_GIVEN,
+# an object type of _OBJECTS, or a list type of _LISTS (a nonempty list
+# of its item type); gt, ge and le bound every number, and every number
+# is finite.  A default of None leaves an absent key None.
 _Field = namedtuple("_Field", "name type default gt ge le",
                     defaults=(_REQUIRED, None, None, None))
 
@@ -75,7 +75,8 @@ _OBJECTS = {
              lambda d: (complex(d["re"], d["im"]), complex(d["pole_re"], d["pole_im"]),
                         d["order"])),
     "wave": ((_Field("half_plane", "half_plane"), _Field("terms", "terms")),
-             lambda d: HardyFunction(**d)),
+             lambda d: HardyFunction(d["terms"], HalfPlane(d["half_plane"]))),
+    "output": ((_Field("stem", "name", None), _Field("golden_dir", "string", None)), dict),
 }
 _LISTS = {"numbers": "number", "poles": "pole", "terms": "term"}
 _EXPANSION = (
@@ -123,21 +124,43 @@ _SCHEMA = {
     ),
 }
 
+# each type whose value is kept as given: its JSON type, a test and what
+# it must be; the kind's table checks the parameters object
+_AS_GIVEN = {
+    "string": (str, lambda v: True, "a string"),
+    "name": (str, lambda v: _is_plain(v), "a plain file name"),
+    "half_plane": (str, lambda v: v in ("upper", "lower"), '"upper" or "lower"'),
+    "kind": (str, lambda v: v in _SCHEMA, f"one of {', '.join(_SCHEMA)}"),
+    "object": (dict, lambda v: True, "an object"),
+}
+_SEED = _Field("seed", "int", _DEFAULT_SEED, ge=0)
+# the top level of a config
+_CONFIG = (
+    _Field("kind", "kind"),
+    _Field("scenario", "name", None),
+    _Field("summary", "string", None),
+    _SEED,
+    _Field("parameters", "object", {}),
+    _Field("output", "output", {}),
+)
+
 
 def _object(data, fields, path):
     """Validate one JSON object against a field table; returns a dict."""
     if not isinstance(data, dict):
         raise SchemaError("expected an object", path=path)
+    prefix = f"{path}." if path else ""
     names = [f.name for f in fields]
     for key in data:
         if key not in names:
             raise SchemaError(f"unknown key (allowed: {', '.join(names)})",
-                              path=f"{path}.{key}")
-    out = {}
+                              path=f"{prefix}{key}")
+    out = dict.fromkeys(names)
     for f in fields:
-        if f.name not in data and f.default is _REQUIRED:
-            raise SchemaError("missing required key", path=f"{path}.{f.name}")
-        out[f.name] = _value(f, data.get(f.name, f.default), f"{path}.{f.name}")
+        if f.name in data or f.default not in (_REQUIRED, None):
+            out[f.name] = _value(f, data.get(f.name, f.default), f"{prefix}{f.name}")
+        elif f.default is _REQUIRED:
+            raise SchemaError("missing required key", path=f"{prefix}{f.name}")
     return out
 
 
@@ -154,10 +177,11 @@ def _value(f, value, path):
             return build(_object(value, fields, path))
         except (ConfigurationError, HardyClassError) as exc:
             raise SchemaError(str(exc), path=path) from exc
-    if f.type == "half_plane":
-        if value not in ("upper", "lower"):
-            raise SchemaError(f"expected \"upper\" or \"lower\", got {value!r}", path=path)
-        return HalfPlane(value)
+    if f.type in _AS_GIVEN:
+        json_type, holds, expected = _AS_GIVEN[f.type]
+        if not (isinstance(value, json_type) and holds(value)):
+            raise SchemaError(f"expected {expected}, got {value!r}", path=path)
+        return value
     integral = f.type == "int"
     if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
         raise SchemaError(f"expected {'an integer' if integral else 'a number'},"
@@ -432,13 +456,6 @@ def _is_plain(value):
             and Path(value).name == value and "\\" not in value and "\0" not in value)
 
 
-def _plain_name(value, path):
-    """A file name with no directory part, so outputs stay in --out-dir."""
-    if not _is_plain(value):
-        raise SchemaError(f"expected a plain file name, got {value!r}", path=path)
-    return value
-
-
 def _require_finite(rows, achieved):
     """Refuse to report nan or inf; nothing has been written yet."""
     for i, row in enumerate(rows):
@@ -479,26 +496,12 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, bless=False):
     """Execute one scenario config; returns the manifest dict."""
     if fmt not in ("csv", "json"):
         raise SchemaError(f"format must be csv or json, got {fmt!r}")
-    kind = config.get("kind")
-    if not isinstance(kind, str) or kind not in _RUNNERS:
-        raise SchemaError(f"kind must be one of {sorted(_RUNNERS)}, got {kind!r}",
-                          path="kind")
-    name = _plain_name(config.get("scenario", kind), "scenario")
-    params = config.get("parameters", {})
-    if not isinstance(params, dict):
-        raise SchemaError("parameters must be an object", path="parameters")
-    output = config.get("output", {})
-    if not isinstance(output, dict):
-        raise SchemaError("output must be an object", path="output")
-    stem = _plain_name(output.get("stem", name), "output.stem")
-    if seed is None:
-        seed = config.get("seed", _DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
-    golden_dir = output.get("golden_dir")
-    if golden_dir is not None and not isinstance(golden_dir, str):
-        raise SchemaError(f"expected a path string, got {golden_dir!r}",
-                          path="output.golden_dir")
+    top = _object(config, _CONFIG, "")
+    kind, params, output = top["kind"], top["parameters"], top["output"]
+    name = top["scenario"] or kind
+    stem = output["stem"] or name
+    seed = top["seed"] if seed is None else _value(_SEED, seed, "seed")
+    golden_dir = output["golden_dir"]
     values = _parse(params, kind)
 
     effective = {"scenario": name, "kind": kind, "parameters": params, "seed": seed}

@@ -35,7 +35,6 @@ from .errors import (
     GeometryError,
     PoleProximityError,
 )
-from .quadrature import circle_residue
 
 __all__ = [
     "Sheet",
@@ -45,8 +44,6 @@ __all__ = [
     "BackgroundPhase",
     "SMatrixModel",
     "blaschke_residue",
-    "locate_pole",
-    "poles_of",
     "unitarity_deviation",
 ]
 
@@ -276,38 +273,6 @@ def blaschke_residue(model, index):
     if model.background is not None:
         res *= np.exp(2j * model.background.phase(ki))
     return res
-
-
-def locate_pole(model, center, radius, nodes=256):
-    """Locate a simple pole of S near `center` without derivatives.
-
-    For f with a single simple pole inside the circle the first two
-    contour moments give the position exactly:
-    oint k f dk / oint f dk = k_pole.  Spectral accuracy in `nodes`.
-    """
-    m0 = circle_residue(model.eval, center, radius, nodes=nodes)
-    m1 = circle_residue(lambda k: model.eval(k) * k, center, radius, nodes=nodes)
-    if abs(m0) == 0.0:
-        raise GeometryError("no pole enclosed by the search circle")
-    return m1 / m0
-
-
-def poles_of(model, nodes=256):
-    """Numerically recover every resonance pole of the model.
-
-    Search circles are centered on the declared positions with radius a
-    quarter of the distance to the nearest other singularity, so each
-    encloses exactly one pole.
-    """
-    sing = model.singularities()
-    found = []
-    for i, p in enumerate(model.poles):
-        ki = p.momentum
-        others = [s for s in sing if abs(s - ki) > 1e-14 * abs(ki)]
-        dist = min(abs(ki - s) for s in others)
-        dist = min(dist, abs(ki.imag), abs(ki.real))  # stay inside the quadrant
-        found.append(locate_pole(model, ki, 0.25 * dist, nodes=nodes))
-    return tuple(found)
 
 
 def unitarity_deviation(model, k_values):

@@ -92,7 +92,7 @@ def test_no_residue_code_shared_with_expand(psi, state, model_two, monkeypatch):
         raise AssertionError("the closed form called a residue routine")
 
     for module, name in ((expansion, "blaschke_residue"), (surface, "blaschke_residue"),
-                         (expansion, "circle_residue"), (surface, "circle_residue")):
+                         (expansion, "circle_residue")):
         monkeypatch.setattr(module, name, refused)
     monkeypatch.setattr("resokit.quadrature.quad", refused)
     res = exact.principal_parts(psi, state, model_two).pairing(15.0)

@@ -469,11 +469,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("output", [1]), ("parameters", [1, 2]), ("output", {"stem": "../escaped"}),
-         ("output", {"stem": "sub/escaped"}), ("scenario", "../escaped")],
+         ("output", {"stem": "sub/escaped"}), ("scenario", "../escaped"),
+         ("paramters", {"points": 3}), ("bogus", 1), ("output", {"stme": "x"})],
         ids=["output_list", "parameters_list", "stem_parent", "stem_subdir",
-             "scenario_parent"],
+             "scenario_parent", "parameters_typo", "unknown_top_level_key", "output_typo"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value):
+        # the top level and the output block go through field tables like the
+        # parameters; the three unknown keys used to be ignored (exit 0)
         cfg = load_config("single_resonance")
         cfg[key] = value
         assert self._run_config(tmp_path, cfg) == 2

@@ -431,13 +431,14 @@ def _e1_scaled(x):
     small = np.abs(x) < _ASYMPTOTIC
     xs = x[small]
     out[small] = np.exp(xs) * exp1(xs)
-    inv = 1.0 / x[~small]
-    term = inv.copy()
-    acc = inv.copy()
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        term = term * (-k) * inv
-        acc += term
-    out[~small] = acc
+    if not small.all():
+        inv = 1.0 / x[~small]
+        term = inv.copy()
+        acc = inv.copy()
+        for k in range(1, _ASYMPTOTIC_TERMS):
+            term = term * (-k) * inv
+            acc += term
+        out[~small] = acc
     size = np.abs(x)
     series = np.exp(np.minimum(size, _E1_SERIES) + np.clip(x.real, 0.0, _E1_SERIES))
     rel = _SPECIAL_REL + np.where(size < _E1_SERIES, _EPS * series, 0.0)

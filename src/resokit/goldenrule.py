@@ -61,6 +61,14 @@ __all__ = [
 ]
 
 
+# where a channel's weight and a callable efficiency are probed; read-only,
+# since each is passed to a user callable
+_WEIGHT_PROBE = np.geomspace(1e-6, 1e6, 25)
+_EFFICIENCY_PROBE = np.geomspace(1e-3, 1e3, 17)
+_WEIGHT_PROBE.setflags(write=False)
+_EFFICIENCY_PROBE.setflags(write=False)
+
+
 def breit_wigner_density(resonance, energy):
     """Unit-normalized full-line Lorentzian at the resonance."""
     e = np.asarray(energy, dtype=float)
@@ -104,13 +112,12 @@ class Channel:
             raise ConfigurationError(f"strength must be >= 0, got {self.strength}")
         if not callable(self.form_factor):
             raise ConfigurationError("form_factor must be callable")
-        probe = np.geomspace(1e-6, 1e6, 25)
-        vals = np.asarray(self.form_factor(probe), dtype=float)
+        vals = np.asarray(self.form_factor(_WEIGHT_PROBE), dtype=float)
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ConfigurationError(
                 f"channel {self.label!r}: weight must be finite and >= 0"
             )
-        if vals[-1] * probe[-1] ** 2 > 1e3 * np.max(vals):
+        if vals[-1] * _WEIGHT_PROBE[-1] ** 2 > 1e3 * np.max(vals):
             raise ConfigurationError(
                 f"channel {self.label!r}: weight must decay at least like E^-2"
             )
@@ -127,7 +134,7 @@ class Detector:
         self._eff = dict(efficiencies or {})
         for label, eff in self._eff.items():
             if callable(eff):
-                probe = np.asarray(eff(np.geomspace(1e-3, 1e3, 17)), dtype=float)
+                probe = np.asarray(eff(_EFFICIENCY_PROBE), dtype=float)
                 bad = np.any(probe < 0.0) or np.any(probe > 1.0)
             else:
                 bad = not (0.0 <= float(eff) <= 1.0)

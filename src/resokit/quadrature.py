@@ -146,9 +146,10 @@ class LaplaceTable:
 
         From stride 16 (checked against its stride-32 subset) down, each
         halving adds only its new nodes, so each exponential is taken
-        once.  The error is the gap to the stride before, the clipped mass
-        and eps times the terms' moduli summed, for rounding the gap
-        misses when two strides round alike.  It must be within
+        once.  The error is the gap to the stride before, the clipped mass,
+        eps times the terms' moduli summed, for rounding the gap misses
+        when two strides round alike, and eps |F(t)| for the rounding of
+        the final sum.  It must be within
         LAPLACE_TOL of max(floor, |F(t)|); past the full rule, raises
         QuadratureError, or DomainError where x_N^power t overflows.
         `grid` does the same over an array of t.
@@ -168,7 +169,7 @@ class LaplaceTable:
                     coarse = 2 * stride * complex(acc[0], acc[1])
                     acc = acc + rows @ np.exp(r * t)
                 value = stride * complex(acc[0], acc[1])
-                error = float(abs(value - coarse) + clipped + _EPS * stride * acc[2])
+                error = float(abs(value - coarse) + clipped + _EPS * (stride * acc[2] + abs(value)))
                 bound = LAPLACE_TOL * max(floor, abs(value))
                 if error <= bound:
                     return (value.real if self.values.dtype.kind == "f" else value), error
@@ -211,7 +212,7 @@ class LaplaceTable:
                     coarse = 2 * stride * (acc[0] + 1j * acc[1])
                     acc = acc + rows @ _decay(r, t)
                 value = stride * (acc[0] + 1j * acc[1])
-                error = np.abs(value - coarse) + clipped + _EPS * stride * acc[2]
+                error = np.abs(value - coarse) + clipped + _EPS * (stride * acc[2] + np.abs(value))
                 bound = LAPLACE_TOL * np.maximum(floor, np.abs(value))
                 done = error <= bound
                 values[pending[done]] = value[done]

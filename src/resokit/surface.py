@@ -206,7 +206,6 @@ class SMatrixModel:
         if self.background is not None:
             sing.extend(self.background.pole_positions())
         object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_singularities", tuple(sing))
         object.__setattr__(
             self, "_guards",
             tuple((s, _PROXIMITY * max(abs(s), 1.0)) for s in sing),
@@ -215,7 +214,7 @@ class SMatrixModel:
     def singularities(self):
         """Momentum-plane poles of S: resonance poles, their mirror
         images -conj(k_i), and any background-phase poles."""
-        return self._singularities
+        return tuple(s for s, _ in self._guards)
 
     def eval(self, k):
         """S(k), elementwise for an array k and a Python complex for a

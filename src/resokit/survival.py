@@ -118,7 +118,9 @@ class SpectralDensity:
         z = np.asarray(z, dtype=complex)
         g = self.resonance.width
         base = (g / (2.0 * math.pi)) / ((z - self.resonance.energy) ** 2 + 0.25 * g * g)
-        return z**self.alpha * base**self.power
+        # z**0 and base**1 cost a complex power per node and change nothing
+        shape = base if self.power == 1 else base**self.power
+        return shape if self.alpha == 0 else z**self.alpha * shape
 
     def __call__(self, z):
         out = self.norm * self._shape(z)

@@ -1,6 +1,7 @@
 """Write tests/exact_reference.json: mpmath values of the evolved pairing.
 
-    python3 tests/exact_reference.py
+    python3 tests/exact_reference.py           # write the JSON
+    python3 tests/exact_reference.py --check   # recompute and compare
 
 Needs mpmath, which resokit does not depend on.  Each value is the sum of
 the principal parts of G(k) = 2k conj(psi)(k^2) phi(k^2) S(k) against
@@ -24,9 +25,13 @@ Cases: the kaon_pair and contour_check built-ins at 0, 1 and 3 lifetimes
 of the narrowest pole, and a sweep of one pole at E_R = 1 over widths,
 wave orders, times and three states (the default pole 1.5 + 0.8i, a pole
 exactly at conj(z), and one 1e-7 from it).
+
+`--check` recomputes every row and fails if any differs from the
+committed JSON, down to the last stored digit.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -114,7 +119,9 @@ def cases():
     return out
 
 
-def main():
+def main(argv):
+    if argv not in ([], ["--check"]):
+        sys.exit(__doc__)
     rows = []
     for case in cases():
         value = pairing(case["resonances"], case["dual"], case["state"], case["order"],
@@ -122,10 +129,18 @@ def main():
         rows.append({**case, "dual": [case["dual"].real, case["dual"].imag],
                      "state": [case["state"].real, case["state"].imag],
                      "value": [mp.nstr(value.real, 20), mp.nstr(value.imag, 20)]})
+    lines = [json.dumps(row) for row in rows]
     path = Path(__file__).with_name("exact_reference.json")
-    path.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
+    if argv:
+        stored = path.read_text().splitlines()[1:-1]
+        changed = [i for i, (new, old) in enumerate(zip(lines, stored))
+                   if new != old.rstrip(",")]
+        print(f"{len(lines)} rows recomputed against {len(stored)} committed: "
+              f"{len(changed)} differ {changed}")
+        sys.exit(0 if len(stored) == len(lines) and not changed else 1)
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
     print(f"wrote {len(rows)} values to {path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

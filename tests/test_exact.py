@@ -126,3 +126,15 @@ def test_cancellation_raises(psi, pole):
                                         half_plane=HalfPlane.LOWER))
     with pytest.raises(QuadratureError, match="cancels past its bound"):
         exact.principal_parts(psi, state, model).pairing(5.0)
+
+
+def test_e1_scaled_pointwise_in_mixed_arrays():
+    # below |x| = 50 scipy's exp1, from there the asymptotic series; each
+    # point of a mixed array gets what it gets alone
+    x = np.array([0.3 - 2.0j, -60.0j, 5.0 - 30.0j, 40.0 + 35.0j, -0.7j, 80.0 - 10.0j,
+                  -49.9j, -50.0j])
+    assert 0 < np.sum(np.abs(x) < 50.0) < x.size
+    value, bound = exact._e1_scaled(x)
+    for i in range(x.size):
+        alone = exact._e1_scaled(x[i:i + 1])
+        assert (value[i], bound[i]) == (alone[0][0], alone[1][0])

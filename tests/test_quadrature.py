@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -73,6 +75,18 @@ def test_laplace_table_against_closed_form(t):
     value, err = _exponential_table()(t)
     want = 1.0 / (1.0 + t)
     assert abs(value - want) <= err <= 1e-12 * want
+
+
+def test_laplace_table_error_covers_its_gap():
+    # the gap to 1 / (1 + t) is taken exactly; it reaches the rounding level,
+    # where the reported error needs the rounding of the final sum
+    table = _exponential_table()
+    short = []
+    for t in np.geomspace(1e-3, 1e6, 700):
+        value, err = table(float(t))
+        if abs(Fraction(value) - 1 / (1 + Fraction(float(t)))) > Fraction(err):
+            short.append(float(t))
+    assert short == []
 
 
 def test_laplace_table_refuses_what_it_cannot_sum():

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from resokit import expansion, scenarios
 from resokit.cli import main
 from resokit.errors import SchemaError
+from resokit.gamow import GamowKet
 from resokit.quadrature import LAPLACE_RULE
 from resokit.scenarios import KINDS, list_scenarios, load_config, run_scenario
+from resokit.surface import ResonancePole
 
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 BUILTINS = (
@@ -207,6 +209,25 @@ class TestAchievedQuality:
         achieved = runs["single_resonance"][0]["achieved"]
         assert achieved["exponential_law_max_dev"] < 1e-12
         assert achieved["semigroup_max_dev"] < 1e-12
+
+    @pytest.mark.parametrize("parameters", [
+        None, {"energy": 3.7, "width": 0.013, "lifetimes": 7.5, "points": 33}],
+        ids=["builtin", "off_default"])
+    def test_semigroup_over_all_ordered_pairs(self, runs, tmp_path, parameters):
+        # the runner takes the pairs a <= b only; the maximum over all 400
+        # ordered pairs of its 20 times must come out bit for bit the same
+        config = load_config("single_resonance")
+        if parameters is None:
+            manifest = runs["single_resonance"][0]
+        else:
+            manifest = run_scenario({**config, "parameters": parameters}, out_dir=tmp_path)
+        p = {**config["parameters"], **(parameters or {})}
+        ket = GamowKet(ResonancePole(p["energy"], p["width"]))
+        ts = np.linspace(0.0, p["lifetimes"] / p["width"], p["points"])
+        sub = np.linspace(0.0, ts[-1] / 2.0, 20)
+        c = ket.evolution_coefficient
+        brute = max(abs(c(float(a + b)) - c(float(a)) * c(float(b))) for a in sub for b in sub)
+        assert manifest["achieved"]["semigroup_max_dev"] == brute
 
     def test_kaon_pair(self, runs):
         achieved = runs["kaon_pair"][0]["achieved"]

@@ -11,7 +11,8 @@ wrappers adapt ``scipy.integrate.quad`` to complex integrands on
 intervals and half lines and to oscillatory Fourier weights; their
 real/imaginary (and cos/sin) passes share one evaluation of the
 integrand per abscissa.  The midpoint rule on a circle gives contour
-residues.
+residues.  ``scipy.integrate`` is imported at the first QUADPACK call,
+so no scenario run loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 
@@ -289,8 +289,10 @@ def integrate_lorentzian(f, energy, width, full_line=False):
     f must accept an ndarray of real energies, positive ones on the half
     line.  Each level evaluates f only at its new nodes; refinement stops
     when the sum moves by at most 1e-12 (1 + |sum|) from the level before,
-    and past level 8 it raises QuadratureError.  Returns (value, gap) with
-    gap that last move.
+    and past level 8 it raises QuadratureError.  Returns (value, error)
+    with error that last move plus eps times the scaled sum of the terms'
+    moduli |omega_j f(E_j)| over the levels used and eps |sum|, for the
+    rounding the move misses when two levels round alike.
     """
     if not (0.0 < energy < np.inf and 0.0 < width < np.inf):
         raise QuadratureError(
@@ -299,6 +301,7 @@ def integrate_lorentzian(f, energy, width, full_line=False):
     b = 0.0 if full_line else 0.5 * width / energy
     half = 0.5 * (np.pi - np.arctan(b))  # half the length of the theta interval
     acc = 0.0
+    moduli = 0.0  # sum of |omega_j f(E_j)| over the levels so far
     nodes = 0
     total = None
     for level in range(_TS_DEPTH + 1):
@@ -308,16 +311,33 @@ def integrate_lorentzian(f, energy, width, full_line=False):
         lower = (energy - 0.5 * width * cot if full_line
                  else (energy + 0.5 * width * b) / (1.0 + b * cot))
         e = np.where(upper, energy + 0.5 * width * cot, lower)
-        acc += np.sum(omega * f(e))
+        terms = omega * f(e)
+        acc += terms.sum()
+        moduli += np.abs(terms).sum()
         prev, total = total, acc * half * (_TS_STEP / 2**level) / np.pi
         if prev is not None:
             gap = abs(total - prev)
             if gap <= _TS_TOL * (1.0 + abs(total)):
-                return total, gap
+                scale = half * (_TS_STEP / 2**level) / np.pi
+                return total, gap + _EPS * (scale * moduli + abs(total))
     raise QuadratureError(
         f"Lorentzian ladder unresolved after {nodes} nodes "
         f"(level gap {gap:.3e} against sum {abs(total):.3e})"
     )
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at its first call.
+
+    scipy.integrate brings scipy.optimize, scipy.sparse.linalg and
+    scipy.linalg with it, and no scenario run calls QUADPACK, so a run
+    never loads them.  `_part_quads` looks this function up as a module
+    global at each call, so replacing ``resokit.quadrature.quad``
+    intercepts every QUADPACK call.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _part_quads(f, a, b, weights=(None,), **kwargs):

@@ -1,9 +1,17 @@
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import resokit
 from resokit.errors import ConfigurationError, DomainError, QuadratureError
 from resokit.quadrature import (
     LAPLACE_RULE,
@@ -173,6 +181,11 @@ def test_lorentzian_channel_against_mpmath(ratio):
     want = (_CHANNEL_REFERENCE | _NARROW_CHANNEL_REFERENCE)[ratio]
     assert abs(value - want) <= 1e-14 * want
     assert err <= 1e-12 * (1.0 + value)
+    # the error covers the gap, taken exactly to the stored double, which is
+    # within half an ulp of its 30 digits; the last level move alone is
+    # exactly 0 at 0.1, where two levels round alike
+    assert err > 0.0
+    assert Fraction(err) >= abs(Fraction(value) - Fraction(want)) + Fraction(math.ulp(want)) / 2
 
 
 @pytest.mark.parametrize("ratio", [1.9, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
@@ -210,6 +223,57 @@ def test_integrate_lorentzian_reports_failure():
 def test_integrate_lorentzian_needs_a_line(energy, width):
     with pytest.raises(QuadratureError):
         integrate_lorentzian(np.ones_like, energy, width)
+
+
+def test_quadpack_calls_go_through_the_module_quad(monkeypatch):
+    # the tests that stub resokit.quadrature.quad to show a path makes no
+    # QUADPACK call hold only while every wrapper reaches QUADPACK there
+    calls = []
+
+    def stub(func, a, b, **kwargs):
+        calls.append((a, b, kwargs.get("weight")))
+        return 0.0, 0.0
+
+    monkeypatch.setattr("resokit.quadrature.quad", stub)
+    f = lambda x: np.exp(-x) + 0j
+    assert complex_quad(f, 0.0, 1.0) == (0.0, 0.0)
+    assert calls == [(0.0, 1.0, None)] * 2
+    for wrapper, args, upper in [(oscillatory_quad, (20.0, 7.0), 20.0),
+                                 (decaying_fourier_quad, (7.0,), np.inf)]:
+        calls.clear()
+        assert wrapper(f, *args) == (0.0, 0.0)
+        assert calls == [(0.0, upper, "cos"), (0.0, upper, "sin")] * 2
+
+
+def test_runs_never_load_scipy_integrate(tmp_path):
+    # a fresh interpreter, since pytest's warning filter for
+    # scipy.integrate.IntegrationWarning has loaded it into this one
+    script = textwrap.dedent("""
+        import json, sys
+        from resokit import cli, quadrature, scenarios
+
+        def loaded():
+            return sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+                          if m in sys.modules)
+
+        names = [row["name"] for row in scenarios.list_scenarios()]
+        codes = [cli.main(["run", name, "--out-dir", sys.argv[1]]) for name in names]
+        before = loaded()
+        value, err = quadrature.complex_quad(lambda x: x + 1j * x, 0.0, 1.0)
+        print(json.dumps({"names": names, "codes": codes, "before": before,
+                          "value": [value.real, value.imag], "err": err, "after": loaded()}))
+    """)
+    src = str(Path(resokit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert len(out["names"]) == 6 and out["codes"] == [0] * 6
+    assert all((tmp_path / f"{name}.csv").is_file() for name in out["names"])
+    assert out["before"] == []
+    assert abs(complex(*out["value"]) - (0.5 + 0.5j)) <= out["err"]
+    assert "scipy.integrate" in out["after"]
 
 
 def test_complex_quad_matches_parts():

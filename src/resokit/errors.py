@@ -4,7 +4,17 @@ Everything derives from :class:`ResokitError` so callers can catch the
 package's failures with a single except clause.  Subclasses also inherit
 from the closest builtin (ValueError, KeyError, RuntimeError) so generic
 handling keeps working.
+
+It also holds the one rule for a time, behind `forward_time` (one number)
+and `forward_times` (a 1-D grid): a time is a real number and not a bool
+(else ConfigurationError), neither NaN nor negative (else ArrowOfTimeError)
+and finite (else ConfigurationError).
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ResokitError(Exception):
@@ -42,6 +52,39 @@ class ResolutionError(ResokitError, ValueError):
 
 class ArrowOfTimeError(ResokitError, ValueError):
     """Forward-only evolution invoked with a negative or misordered time."""
+
+
+def forward_time(t, message):
+    """t as a float under the time rule; a refused NaN or negative t
+    raises ArrowOfTimeError with `message`, then the time."""
+    if not isinstance(t, float):  # np.float64 is a float
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise ConfigurationError(f"a time must be a real number, got {t!r}")
+        try:
+            t = float(t)
+        except OverflowError:  # an integer past the double range
+            t = math.inf if t > 0 else -math.inf
+    if not 0.0 <= t < math.inf:
+        if not t >= 0.0:
+            raise ArrowOfTimeError(f"{message}, got t = {t}")
+        raise ConfigurationError(f"the time t = {t} is not finite")
+    return t
+
+
+def forward_times(times, message):
+    """times, a real number or a 1-D array of them, as a float array under
+    the time rule; the first refused entry is refused as by `forward_time`."""
+    try:
+        ts = np.asarray(times)
+    except ValueError:  # a ragged nest of lists, refused below as an object
+        ts = np.asarray(None)
+    if ts.ndim > 1 or ts.dtype.kind not in "iuf":
+        raise ConfigurationError(f"need a real time or a 1-D grid of them, got {times!r}")
+    ts = ts.astype(float)
+    bad = ~((0.0 <= ts) & (ts < math.inf))
+    if bad.any():
+        forward_time(ts.flat[np.argmax(bad)], message)
+    return ts
 
 
 class GeometryError(ResokitError, ValueError):

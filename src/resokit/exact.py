@@ -80,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1, wofz
 
-from .errors import ArrowOfTimeError, ConfigurationError, QuadratureError
-from .expansion import PairingResult, _forward, _require_pair
+from .errors import ConfigurationError, QuadratureError, forward_time, forward_times
+from .expansion import PairingResult, _require_pair
 from .surface import SMatrixModel
 from .survival import SpectralDensity, _pole_residues
 
@@ -312,7 +312,7 @@ class PrincipalParts:
         points and times, and t = 0 takes the elementary integrals.  A
         bound past 1e-9 of |I| raises QuadratureError at the first such t.
         """
-        ts = _forward(t, "the pairing evolves forward only", finite=True)
+        ts = forward_times(t, "the pairing evolves forward only")
         times = np.atleast_1d(ts)
         coef, cerr = self._coef
         k = np.empty((times.size, coef.size), dtype=complex)
@@ -500,10 +500,7 @@ def survival_amplitude(density, t):
     """
     if not isinstance(density, SpectralDensity):
         raise ConfigurationError("survival_amplitude needs a SpectralDensity")
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
-    if not math.isfinite(t):
-        raise ConfigurationError(f"the amplitude needs a finite time, got t = {t}")
+    t = forward_time(t, "survival amplitudes exist for t >= 0")
     leg, error = _survival_leg(density, t)
     value = complex(_pole_residues(density, t)) + leg
     error += 2.0 * _EPS * abs(value)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArrowOfTimeError, ConfigurationError, DomainError, HardyClassError
+from .errors import ConfigurationError, DomainError, HardyClassError, forward_time, forward_times
 from .hardy import HalfPlane, HardyFunction
 # unused here; resobench/tracer.py wraps the benchmark spans at these
 # names, and its self-tests require every wrapped site to resolve
@@ -108,24 +108,6 @@ class PreparedState:
             )
 
 
-def _forward(t, message, finite=False):
-    """t, a real number or a 1-D array of them, as floats.  The first
-    entry that is not t >= 0 (NaN included) is refused with
-    ArrowOfTimeError and `message`; with `finite`, an infinite one with
-    ConfigurationError."""
-    ts = np.asarray(t)
-    if ts.ndim > 1 or ts.dtype.kind not in "biuf":
-        raise ConfigurationError(f"need a real time or a one-dimensional grid of them, got {t!r}")
-    ts = ts.astype(float)
-    bad = ~(ts >= 0.0) | (finite & np.isinf(ts))
-    if bad.any():
-        first = ts[np.argmax(bad)] if ts.ndim else ts
-        if not first >= 0.0:
-            raise ArrowOfTimeError(f"{message}, got t = {first}")
-        raise ConfigurationError(f"need a finite time, got t = {first}")
-    return ts
-
-
 def _as_wave(state):
     return state.wave if isinstance(state, PreparedState) else state
 
@@ -163,8 +145,7 @@ def smatrix_pairing_direct(psi, state, model, t):
     """
     if not isinstance(model, SMatrixModel):
         raise ConfigurationError("smatrix_pairing_direct needs an SMatrixModel")
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"the pairing evolves forward only, got t = {t}")
+    t = forward_time(t, "the pairing evolves forward only")
     dag, wave = _require_pair(psi, state)
 
     def f(e):
@@ -173,6 +154,9 @@ def smatrix_pairing_direct(psi, state, model, t):
     if t == 0.0:
         return PairingResult(*oscillatory_quad(f, np.inf, 0.0))
     return PairingResult(*decaying_fourier_quad(f, t))
+
+
+_FORWARD = "expansion terms evolve forward only"
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +188,12 @@ class ResonanceExpansion:
     def pole_sum(self, t):
         """Sum of resonance terms b_i e^{-i z_i t} at a time t >= 0, or at
         each t of a 1-D array of them."""
-        ts = _forward(t, "expansion terms evolve forward only")
+        ts = forward_times(t, _FORWARD)
+        sums = self._pole_sums(ts)
+        return sums if ts.ndim else complex(sums)
+
+    def _pole_sums(self, ts):
+        """`pole_sum` of times already checked."""
         with np.errstate(over="ignore", invalid="ignore"):
             # a sum along the last axis adds in the same order for a float
             # and for a grid, so both give the same bits
@@ -212,24 +201,25 @@ class ResonanceExpansion:
                           axis=-1)
         finite = np.isfinite(sums)
         if not finite.all():  # E_i t past the double range leaves the phase undefined
-            bad = ts[np.argmin(finite)] if ts.ndim else ts
+            bad = np.ravel(ts)[np.argmin(finite)]
             raise DomainError(f"pole phase overflows the double range at t = {bad:g}")
-        return sums if ts.ndim else complex(sums)
+        return sums
 
     def grid(self, times):
         """(pole sums, backgrounds, background errors) at each t of a 1-D
         array: `reconstruct`'s parts on one Laplace product per chunk of
         times, with each pole sum computed once and gated on as the floor."""
-        ts = _forward(times, "expansion terms evolve forward only")
+        ts = forward_times(times, _FORWARD)
         if ts.ndim != 1:
             raise ConfigurationError(f"need a one-dimensional time grid, got {times!r}")
-        poles = self.pole_sum(ts)
+        poles = self._pole_sums(ts)
         return (poles, *self._table.grid(ts, floors=np.abs(poles)))
 
     def background_with_error(self, t):
         """Background integral at time t and its error, from the Laplace table
-        gated against the larger of it and the pole sum (which refuses t < 0)."""
-        return self._table(t, floor=abs(self.pole_sum(t)))
+        gated against the larger of it and the pole sum."""
+        t = forward_time(t, _FORWARD)
+        return self._table(t, floor=abs(self._pole_sums(t)))
 
     def background(self, t):
         return self.background_with_error(t)[0]
@@ -348,8 +338,7 @@ def truncated_evolve(matrix, coefficients, t):
     """
     if not isinstance(matrix, EffectiveMatrix):
         raise ConfigurationError("truncated_evolve needs an EffectiveMatrix")
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"truncated evolution is forward only, got t = {t}")
+    t = forward_time(t, "truncated evolution is forward only")
     coeff = np.asarray(coefficients, dtype=complex)
     if coeff.shape != (matrix.size,):
         raise ConfigurationError(

@@ -13,21 +13,19 @@ Evolution is a semigroup: the coefficient e^{-i z t} = e^{-i E_R t}
 e^{-Gamma t / 2} exists for t >= 0 only, and negative times raise
 ArrowOfTimeError.  The time-reversed partner (the growing ket) is only
 ever represented as the conjugate mirror with domain t <= 0; it gets no
-machinery of its own beyond `mirror_coefficient`.
+machinery of its own beyond `mirror_coefficient`, whose -t obeys the
+same time rule.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArrowOfTimeError,
-    ConfigurationError,
-    HardyClassError,
-)
+from .errors import ConfigurationError, HardyClassError, forward_time
 from .hardy import HalfPlane, HardyFunction
 from .quadrature import integrate_lorentzian
 from .surface import ResonancePole
@@ -67,17 +65,16 @@ class GamowKet:
 
     def evolution_coefficient(self, t):
         """e^{-i z t} for t >= 0; the arrow of time forbids t < 0."""
-        if not t >= 0.0:
-            raise ArrowOfTimeError(f"Gamow evolution is a semigroup, got t = {t}")
+        t = forward_time(t, "Gamow evolution is a semigroup")
         return complex(np.exp(-1j * self.eigenvalue * t))
 
     def mirror_coefficient(self, t):
-        """Conjugate-mirror (growing) coefficient, domain t <= 0."""
-        if not t <= 0.0:
-            raise ArrowOfTimeError(
-                f"the mirror ket evolves toward the past only, got t = {t}"
-            )
-        return complex(np.exp(-1j * np.conj(self.eigenvalue) * t))
+        """Conjugate-mirror (growing) coefficient, domain t <= 0: the time
+        rule read on the reversed clock, where the time is -t."""
+        if isinstance(t, numbers.Real) and not isinstance(t, bool):
+            t = -t  # anything else the guard refuses as it was passed
+        t = forward_time(t, "the mirror ket evolves toward the past only, on the reversed clock")
+        return complex(np.exp(1j * np.conj(self.eigenvalue) * t))
 
     def survival_weight(self, t):
         """|evolution coefficient|^2 = e^{-Gamma t}."""
@@ -105,22 +102,16 @@ def _line_integral(f, ket):
     return complex(value)
 
 
-def pairing(psi, ket, method="cauchy"):
+def pairing(psi, ket):
     """<psi | ket> = integral conj(psi(E)) amp(E) dE over the full line.
 
-    method "cauchy" closes the contour around the resonance pole:
-    the conjugated function is LOWER-analytic, so the only lower-half
-    singularity is E = z and the integral is -2 pi i times its residue,
-    i.e. -2 pi i * amplitude_scale * conj(psi(conj(z))).  method
-    "quadrature" integrates numerically and exists as a cross-check.
+    By closing the contour around the resonance pole: the conjugated function
+    is LOWER-analytic, so the only lower-half singularity is E = z and the
+    integral is -2 pi i times its residue,
+    i.e. -2 pi i * amplitude_scale * conj(psi(conj(z))).
     """
     _require_upper(psi)
-    dag = psi.conjugated()
-    if method == "cauchy":
-        return -2j * np.pi * ket.amplitude_scale * dag(ket.eigenvalue)
-    if method == "quadrature":
-        return _line_integral(dag, ket)
-    raise ConfigurationError(f"unknown pairing method {method!r}")
+    return -2j * np.pi * ket.amplitude_scale * psi.conjugated()(ket.eigenvalue)
 
 
 def energy_weighted_pairing(psi, ket):
@@ -150,7 +141,7 @@ def eigen_pairing_check(psi, ket):
     noise) for decay order >= 2; order-1 functions fail the relation by
     an O(1) moment term, which this check reports honestly.
     """
-    base = pairing(psi, ket, method="cauchy")
+    base = pairing(psi, ket)
     target = ket.eigenvalue * base
     weighted = energy_weighted_pairing(psi, ket)
     scale = max(abs(target), 1e-300)

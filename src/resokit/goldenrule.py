@@ -30,11 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    ArrowOfTimeError,
     ChannelLookupError,
     ConfigurationError,
     NormalizationError,
     StateError,
+    forward_time,
 )
 # integrate_exp_sinh is unused here; resobench/tracer.py wraps the benchmark
 # span at this name, and its self-tests require every wrapped site to resolve
@@ -251,8 +251,7 @@ def _require_normalized(config):
 def decay_probability(config, t):
     """P(t) = R (1 - e^{-Gamma t}) for t >= 0."""
     _require_normalized(config)
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"decay probability is defined for t >= 0, got {t}")
+    t = forward_time(t, "decay probability is defined for t >= 0")
     g = config.resonance.width
     return registered_fraction(config) * (1.0 - math.exp(-g * t))
 
@@ -260,8 +259,7 @@ def decay_probability(config, t):
 def decay_rate(config, t):
     """dP/dt = R Gamma e^{-Gamma t} for t >= 0."""
     _require_normalized(config)
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"decay rate is defined for t >= 0, got {t}")
+    t = forward_time(t, "decay rate is defined for t >= 0")
     g = config.resonance.width
     return registered_fraction(config) * g * math.exp(-g * t)
 
@@ -269,8 +267,7 @@ def decay_rate(config, t):
 def partial_rate(config, label, t):
     """Channel share of the rate at time t (detector weighted)."""
     _require_normalized(config)
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"partial rate is defined for t >= 0, got {t}")
+    t = forward_time(t, "partial rate is defined for t >= 0")
     c = config.channel(label)
     g = config.resonance.width
     return (

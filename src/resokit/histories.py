@@ -18,8 +18,6 @@ arithmetic as one case at a time.
 
 from __future__ import annotations
 
-import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +28,7 @@ from .errors import (
     ArrowOfTimeError,
     ConfigurationError,
     ZeroProbabilityError,
+    forward_time,
 )
 
 __all__ = [
@@ -262,27 +261,9 @@ def _entropy(w):
     return -np.sum(w * np.log(w), axis=-1)
 
 
-def _real_time(t):
-    """t as a float, refused unless a real number that is not a bool."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Real):
-        raise ConfigurationError(f"a time must be a real number, got {t!r}")
-    return float(t)
-
-
-def _forward_time(t, arrow):
-    """t as a float: a real number, t >= 0 (ArrowOfTimeError with the
-    message `arrow` otherwise, NaN included) and finite."""
-    t = _real_time(t)
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"{arrow}, got t = {t}")
-    if not math.isfinite(t):
-        raise ConfigurationError(f"the time t = {t} is not finite")
-    return t
-
-
 def unitary_evolve(rho, hamiltonian, t):
     """e^{-iHt} rho e^{iHt} for t >= 0 (forward arrow as everywhere)."""
-    t = _forward_time(t, "evolution is forward only")
+    t = forward_time(t, "evolution is forward only")
     rho = validate_density(rho)
     h = _require_hermitian(hamiltonian)
     _same_size(rho, h)
@@ -291,7 +272,7 @@ def unitary_evolve(rho, hamiltonian, t):
 
 def heisenberg_projector(p, hamiltonian, t):
     """P(t) = e^{iHt} P e^{-iHt} for t >= 0."""
-    t = _forward_time(t, "Heisenberg projectors need t >= 0")
+    t = forward_time(t, "Heisenberg projectors need t >= 0")
     p = validate_projector(p)
     h = _require_hermitian(hamiltonian)
     _same_size(p, h)
@@ -340,14 +321,12 @@ class History:
                 raise ConfigurationError(
                     f"a history step must be a (projector, time) pair, got {step!r}"
                 ) from None
-            t = _real_time(t)
+            t = forward_time(t, "history times must be positive")
             if not t > last_t:
                 raise ArrowOfTimeError(
                     f"history times must be strictly increasing and positive, "
                     f"got {t} after {last_t}"
                 )
-            if not math.isfinite(t):
-                raise ConfigurationError(f"history times must be finite, got {t}")
             cleaned.append((validate_projector(p), t))
             last_t = t
         object.__setattr__(self, "steps", tuple(cleaned))
@@ -370,7 +349,7 @@ def two_level_survival(coefficients, matrix, projector_weights, t):
     |sum_i w_i b_i e^{-i z_i t}|^2 for effective eigenvalues z_i; the
     kaon-style interference formula of the diagonal effective theory.
     """
-    t = _forward_time(t, "effective evolution is forward only")
+    t = forward_time(t, "effective evolution is forward only")
     b = np.asarray(coefficients, dtype=complex)
     w = np.asarray(projector_weights, dtype=complex)
     z = np.asarray(matrix.eigenvalues, dtype=complex)

@@ -253,18 +253,18 @@ _TS_TOL = 1e-12
 def _tanh_sinh_level(level):
     """The nodes that level `level` adds to the tanh-sinh ladder.
 
-    Returns (upper, rho, omega) per node: whether t >= 0, the distance
-    1 - tanh|pi/2 sinh t| to the nearer end of [-1, 1], computed without
-    cancellation, and the weight (pi/2) cosh t / cosh^2(pi/2 sinh t)
+    Returns (upper, rho, omega) per node x: whether x >= 0, the distance
+    1 - tanh|pi/2 sinh x| to the nearer end of [-1, 1], computed without
+    cancellation, and the weight (pi/2) cosh x / cosh^2(pi/2 sinh x)
     before the step and the half-length.
     """
     m = round(_TS_CLIP / _TS_STEP) * 2**level
     k = np.arange(-m, m + 1) if level == 0 else np.arange(1 - m, m, 2)
-    t = k * (_TS_STEP / 2**level)
-    u = 0.5 * np.pi * np.sinh(t)
+    x = k * (_TS_STEP / 2**level)
+    u = 0.5 * np.pi * np.sinh(x)
     rho = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
-    omega = 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
-    out = (t >= 0.0, rho, omega)
+    omega = 0.5 * np.pi * np.cosh(x) / np.cosh(u) ** 2
+    out = (x >= 0.0, rho, omega)
     for a in out:
         a.setflags(write=False)
     return out
@@ -288,11 +288,12 @@ def integrate_lorentzian(f, energy, width, full_line=False):
 
     f must accept an ndarray of real energies, positive ones on the half
     line.  Each level evaluates f only at its new nodes; refinement stops
-    when the sum moves by at most 1e-12 (1 + |sum|) from the level before,
-    and past level 8 it raises QuadratureError.  Returns (value, error)
-    with error that last move plus eps times the scaled sum of the terms'
-    moduli |omega_j f(E_j)| over the levels used and eps |sum|, for the
-    rounding the move misses when two levels round alike.
+    when the sum moves by at most 1e-12 (1 + |sum|) from the level before;
+    past level 8, or at a level where f is not finite, it raises
+    QuadratureError.  Returns (value, error) with error that last move plus
+    eps times the scaled sum of the terms' moduli |omega_j f(E_j)| over the
+    levels used and eps |sum|, for the rounding the move misses when two
+    levels round alike.
     """
     if not (0.0 < energy < np.inf and 0.0 < width < np.inf):
         raise QuadratureError(
@@ -311,7 +312,11 @@ def integrate_lorentzian(f, energy, width, full_line=False):
         lower = (energy - 0.5 * width * cot if full_line
                  else (energy + 0.5 * width * b) / (1.0 + b * cot))
         e = np.where(upper, energy + 0.5 * width * cot, lower)
-        terms = omega * f(e)
+        values = f(e)
+        if not np.isfinite(values).all():
+            raise QuadratureError(
+                f"Lorentzian integrand not finite at level {level} ({nodes} nodes)")
+        terms = omega * values
         acc += terms.sum()
         moduli += np.abs(terms).sum()
         prev, total = total, acc * half * (_TS_STEP / 2**level) / np.pi

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ArrowOfTimeError,
     ConfigurationError,
     DomainError,
     NormalizationError,
     RegimeError,
     WindowError,
+    forward_time,
+    forward_times,
 )
 # circle_residue, complex_quad and decaying_fourier_quad are unused here;
 # resobench/tracer.py wraps benchmark spans at these names, and its
@@ -176,8 +177,7 @@ def survival_amplitude(density, t, method="rotation"):
     which sums the leg without quadrature and raises QuadratureError
     when its own bound passes 1e-9 of |A|.
     """
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"survival amplitudes exist for t >= 0, got {t}")
+    t = forward_time(t, "survival amplitudes exist for t >= 0")
     if method == "rotation":
         return complex(sum(_pole_and_leg(density, t)))
     if method == "direct":
@@ -194,8 +194,7 @@ def survival_probability(density, t):
 
 def exponential_law(density, t):
     """The pure pole law e^{-Gamma t} the amplitude is compared against."""
-    if not t >= 0.0:
-        raise ArrowOfTimeError(f"the exponential law applies for t >= 0, got {t}")
+    t = forward_time(t, "the exponential law applies for t >= 0")
     return math.exp(-density.resonance.width * t)
 
 
@@ -211,9 +210,7 @@ def deviation_onset(density, threshold=0.01, t_grid=None):
     g = density.resonance.width
     if t_grid is None:
         t_grid = np.geomspace(0.2 / g, 400.0 / g, 160)
-    ts = np.asarray(t_grid, dtype=float)
-    if not np.all(ts >= 0.0):
-        raise ArrowOfTimeError("onset scan needs t >= 0")
+    ts = np.atleast_1d(forward_times(t_grid, "onset scan needs t >= 0"))
 
     def deviation(t):
         pole_term, leg = _pole_and_leg(density, t)

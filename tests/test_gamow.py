@@ -9,6 +9,7 @@ from resokit.errors import (
 from resokit.expansion import dirac_pairing
 from resokit.gamow import (
     GamowKet,
+    _line_integral,
     eigen_pairing_check,
     energy_weighted_pairing,
     norm_check,
@@ -81,14 +82,14 @@ def _with_narrow_lines(ket):
 class TestPairing:
     def test_cauchy_matches_quadrature(self, psi, ket):
         for k in _with_narrow_lines(ket):
-            cauchy = pairing(psi, k, method="cauchy")
-            brute = pairing(psi, k, method="quadrature")
+            cauchy = pairing(psi, k)
+            brute = _line_integral(psi.conjugated(), k)
             assert cauchy == pytest.approx(brute, rel=1e-9)
 
     def test_cauchy_matches_quadrature_order_one(self, psi_order1, ket):
         for k in _with_narrow_lines(ket):
-            cauchy = pairing(psi_order1, k, method="cauchy")
-            brute = pairing(psi_order1, k, method="quadrature")
+            cauchy = pairing(psi_order1, k)
+            brute = _line_integral(psi_order1.conjugated(), k)
             assert cauchy == pytest.approx(brute, rel=1e-8)
 
     def test_frozen_value(self, psi, ket):
@@ -103,10 +104,6 @@ class TestPairing:
     def test_non_hardy_rejected(self, ket):
         with pytest.raises(ConfigurationError):
             pairing(lambda e: 1.0 / (e + 1j), ket)
-
-    def test_unknown_method(self, psi, ket):
-        with pytest.raises(ConfigurationError):
-            pairing(psi, ket, method="monte-carlo")
 
 
 class TestEigenvalueRelation:
@@ -140,7 +137,7 @@ def test_entry_points_run_without_quadpack(psi, psi_order1, phi, ket, monkeypatc
 
     monkeypatch.setattr("resokit.quadrature.quad", no_quad)
     for dual in (psi, psi_order1):
-        pairing(dual, ket, method="quadrature")
+        _line_integral(dual.conjugated(), ket)
         energy_weighted_pairing(dual, ket)
         eigen_pairing_check(dual, ket)
         dirac_pairing(dual, phi)

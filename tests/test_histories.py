@@ -346,22 +346,6 @@ class TestShapesAndTypes:
         with pytest.raises(ConfigurationError, match="finite"):
             History(steps=((projector_onto(0), np.inf),))
 
-    @pytest.mark.parametrize(
-        "call",
-        [lambda t: unitary_evolve(projector_onto(0), np.eye(4), t),
-         lambda t: heisenberg_projector(projector_onto(0), np.eye(4), t),
-         lambda t: two_level_survival([1.0], EffectiveMatrix((1.0 - 0.1j,)), [1.0], t)],
-        ids=["unitary_evolve", "heisenberg_projector", "two_level_survival"],
-    )
-    @pytest.mark.parametrize("t", ["1.0", np.array([1.0, 2.0]), True, np.inf],
-                             ids=["str", "array", "bool", "inf"])
-    @pytest.mark.filterwarnings("error")
-    def test_time_must_be_a_finite_real_number(self, call, t):
-        # a string ended in a TypeError, an array in numpy's ambiguous
-        # truth value, and True ran as t = 1
-        with pytest.raises(ConfigurationError):
-            call(t)
-
     @pytest.mark.filterwarnings("error")
     def test_numpy_scalar_times_accepted(self, rho4, ham):
         assert np.allclose(unitary_evolve(rho4, ham, np.float32(0.5)),

@@ -218,6 +218,21 @@ def test_integrate_lorentzian_reports_failure():
         integrate_lorentzian(noisy, 2.0, 0.2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_lorentzian_refuses_a_non_finite_level():
+    # e^{-E} overflows at the outer nodes of the whole line; the ladder used
+    # to multiply the infinities by the weights, warn, and run all nine
+    # levels (3,585 nodes) before it failed on a NaN level gap
+    def overflowing(e):
+        with np.errstate(over="ignore"):
+            return np.exp(-e) * (1 + 2j)
+
+    f = _Counting(overflowing)
+    with pytest.raises(QuadratureError, match=r"not finite at level 0 \(15 nodes\)"):
+        integrate_lorentzian(f, 2.0, 0.02, full_line=True)
+    assert len(f.calls) == 1
+
+
 @pytest.mark.parametrize("energy, width", [(0.0, 1.0), (1.0, 0.0), (np.nan, 1.0),
                                            (1.0, np.inf)])
 def test_integrate_lorentzian_needs_a_line(energy, width):

@@ -126,7 +126,8 @@ class TestPoleSum:
         with pytest.raises(DomainError):
             exp_two.pole_sum(1.5e308)
 
-    @pytest.mark.parametrize("t", ["1.0", np.ones((2, 2)), 1j], ids=["str", "matrix", "complex"])
+    @pytest.mark.parametrize("t", ["1.0", np.ones((2, 2)), 1j, [[1.0], [1.0, 2.0]]],
+                             ids=["str", "matrix", "complex", "ragged"])
     def test_refuses_what_is_not_a_time(self, exp_two, t):
         with pytest.raises(ConfigurationError):
             exp_two.pole_sum(t)

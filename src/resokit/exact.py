@@ -40,13 +40,28 @@ recurrence in n would instead lose digits in proportion to t.  At
 t = 0 the integrals are elementary: -c_1 log(-q), since the c_1 sum to
 zero, and c_n (-q)^{1-n} / (n-1).
 
+e^x E1(x) and w(z) are evaluated here, in numpy, each with its own
+bound (`_e1_scaled`, `_faddeeva`): e^x E1(x) by its power series for
+small (|x| + Re x) / 2 and its continued fraction beyond (DLMF 6.6.2,
+6.9.1); w(z) by its
+Taylor series below |z| = 1.5 and the Laplace continued fraction beyond
+(Gautschi, SIAM J. Numer. Anal. 7, 187, 1970; Poppe and Wijers, ACM
+TOMS 16, 38, 1990).  Both fractions are Laguerre fractions in x = -z^2,
+whose approximants are Gauss rules of t^alpha e^-t (`_laguerre`).  A
+bound is the truncation (a series' remainder, a fraction's gap between
+two depths) plus the rounding, and is checked against 40-digit mpmath on
+the sectors the pairing reaches, |arg x| <= 3 pi / 4 and
+pi / 8 <= arg z <= 7 pi / 8 (tests/special_reference.py); outside them
+the bound is infinite and the pairing refuses.  No scipy is imported.
+
 Each value carries a running bound on its rounding error: of every
 series coefficient, of every special-function value and argument, and
 of the final sum, so cancellation between poles shows in the bound.
 Where the bound exceeds 1e-9 of |I| the pairing raises QuadratureError:
-for poles a few 1e-8 apart, whose coefficients cancel, and for a line of
-width 1e-6 from about one lifetime on, where the rounding of E t alone
-is 2e-10 per lifetime.
+for poles a few 1e-8 apart, whose coefficients cancel, from about 200
+lifetimes of the kaon_pair layout, and for a line of width 1e-6 from
+about one lifetime on, where the rounding of E t alone is 2e-10 per
+lifetime.
 
 `survival_amplitude(density, t)` is the same kind of oracle for the
 survival amplitude of a `survival.SpectralDensity`,
@@ -61,8 +76,8 @@ two poles, whose coefficients grow as Gamma^(1 - 2 power) while the
 values L(z0) and L(conj z0) agree but for Gamma / E_R, and at the
 threshold, where rho ~ z^alpha makes the leg fall as t^-(alpha + 1)
 while each term falls as 1/t.  From |x| = 30 on the leg is also summed
-from the large-t series of L_1 (the one `_e1_scaled` uses from
-|x| = 50) with the divided differences over the poles taken term by
+from the large-t series of L_1, e^x E1(x) ~ sum_k (-1)^k k! / x^{k+1}
+(DLMF 6.12.1), with the divided differences over the poles taken term by
 term in closed form, where both cancellations are exact; from |x| = 50
 the series alone is used, and between 30 and 50 the smaller bound wins.
 The leg so keeps its relative accuracy from Gamma / E_R = 1.9 down to
@@ -74,11 +89,13 @@ against the pole term of the early times where they apply.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
-from scipy.special import exp1, wofz
 
 from .errors import ConfigurationError, QuadratureError, forward_time, forward_times
 from .expansion import PairingResult, _require_pair
@@ -90,19 +107,32 @@ __all__ = ["PrincipalParts", "principal_parts", "survival_amplitude"]
 _EPS = float(np.finfo(float).eps)
 # roots closer than this, relative to their size, are one pole
 _COINCIDE = 16.0 * _EPS
-# relative accuracy of scipy's exp1 and wofz, checked against 30-digit
-# mpmath: wofz is within 52 eps everywhere, exp(x) exp1(x) within 14 eps
-# from |x| = 5 on; below, exp1 sums its power series, which loses a
-# further factor up to e^{|x| + Re x} (6,300 eps at x = 4.5)
-_SPECIAL_REL = 64.0 * _EPS
-_E1_SERIES = 5.0
+# e^x E1(x) is summed from its power series where (|x| + Re x) / 2 is
+# below this, which loses at most e^3 to cancellation, and is checked on
+# |arg x| <= 3 pi / 4, the sector `expand`'s geometry and the survival
+# leg reach (tests/special_reference.py)
+_E1_SERIES = 1.5
+_E1_SECTOR = 0.75 * math.pi
+# w(z) is summed from its Taylor series below |z| = 1.5, which loses at
+# most 2 sqrt(pi) |z| e^{|z|^2}, about 50, and is checked on
+# pi / 8 <= arg z <= 7 pi / 8, which the pairing's points and derivative
+# circles reach
+_W_TAYLOR = 1.5
+_W_SECTOR = (0.125 * math.pi, 0.875 * math.pi)
+# |z| up to which x = -z^2 and the fraction's terms stay normal doubles
+_W_REACH = 1e150
+_EULER = 0.57721566490153286
+# the depths at which the Laguerre fraction is summed, each an n-point
+# Gauss rule in laguerre_rules.npy, written by tests/laguerre_rules.py
+_LEVELS = (16, 23, 32, 45, 64, 91, 128, 181, 256, 362, 512)
+# terms per table of a Gauss sum (64 KiB)
+_TERMS = 4096
 # trapezoid nodes on a derivative circle; the aliasing error falls as
 # 3^-nodes because B_1 is analytic out to three times the radius
 _CIRCLE_NODES = 32
-# |x| from which e^x E1(x) is summed from its asymptotic series, whose
-# smallest term there is below e^-50
+# |x| from which the survival leg is summed from its large-t series
+# alone, whose smallest term there is below e^-50
 _ASYMPTOTIC = 50.0
-_ASYMPTOTIC_TERMS = 30
 # terms of the survival leg's large-t series, which alone gives the leg
 # from |x| = 50 on: there the last, against the first, is below
 # 48!/50^48 binom(51, 3) < 1e-16.  From |x| = 30 it competes with the
@@ -342,6 +372,11 @@ class PrincipalParts:
         """K_n of every pole at each t > 0 of an array, one row per t, and
         their error bounds, from one evaluation of B_1 at every point."""
         e1x, f, e1_err, f_err = _ray_parts(self._points, self._energies, t)
+        refused = ~np.isfinite(e1_err + f_err).all(axis=-1)
+        if refused.any():
+            raise QuadratureError(
+                f"closed-form pairing at t = {t[np.argmax(refused)]:g} leaves the sectors "
+                "where e^x E1(x) and w(z) are checked")
         halves = 0.5 * np.concatenate([e1x + f, e1x - f], axis=-1)
         half_err = 0.5 * (e1_err + f_err)
         k = np.empty((t.size, self._coef[0].size), dtype=complex)
@@ -421,44 +456,238 @@ def _elementary(q, order):
 
 
 def _e1_scaled(x):
-    """e^x E1(x) for complex x off the negative real axis, and a bound.
+    """e^x E1(x) at each point of an array of complex x, and its bound.
 
-    Below |x| = 50 it is exp(x) exp1(x); from there the asymptotic series
-    sum_k (-1)^k k! / x^{k+1}, which cannot overflow.  The bound carries
-    exp1's measured accuracy (see _SPECIAL_REL) and the rounding of x.
+    Each point takes one sum by where it lies, so it gets the same bits
+    alone as in any array: with c2 = (|x| + Re x) / 2 = (Re sqrt x)^2, the
+    power series of E1 (DLMF 6.6.2) for c2 < 1.5, where it loses at most
+    e^{2 c2} to cancellation, and beyond the continued fraction
+    1 / (x + 1 - 1^2 / (x + 3 - 2^2 / (x + 5 - ...))) (DLMF 6.9.1,
+    contracted), `_laguerre` at alpha = 0, which takes its two smallest
+    depths, 16 and 23 terms, from c2 = 12.5 on and so serves large |x|.
+    The bound adds the truncation (the series' remainder, the fraction's
+    gap between two depths), the rounding and 4 eps |x d/dx e^x E1(x)|
+    for the caller's rounding of x.  Outside |arg x| <= 3 pi / 4, where
+    tests/special_reference.json checks it, and at x = 0 or infinite x
+    the value is nan and the bound infinite.
     """
-    out = np.empty_like(x)
-    small = np.abs(x) < _ASYMPTOTIC
-    xs = x[small]
-    out[small] = np.exp(xs) * exp1(xs)
-    if not small.all():
-        inv = 1.0 / x[~small]
-        term = inv.copy()
-        acc = inv.copy()
-        for k in range(1, _ASYMPTOTIC_TERMS):
-            term = term * (-k) * inv
-            acc += term
-        out[~small] = acc
+    x = np.asarray(x, dtype=complex)
+    value, error = np.full(x.shape, np.nan + 0j), np.full(x.shape, np.inf)
     size = np.abs(x)
-    series = np.exp(np.minimum(size, _E1_SERIES) + np.clip(x.real, 0.0, _E1_SERIES))
-    rel = _SPECIAL_REL + np.where(size < _E1_SERIES, _EPS * series, 0.0)
-    # x d/dx [e^x E1(x)] = x e^x E1(x) - 1 carries the rounding of x
-    return out, rel * np.abs(out) + 4.0 * _EPS * np.abs(x * out - 1.0)
+    c2 = 0.5 * (size + x.real)
+    valid = (np.abs(np.angle(x)) <= _E1_SECTOR) & (size > 0.0) & (size < np.inf)
+    series = valid & (c2 < _E1_SERIES)
+    near = valid & ~series
+    if series.any():
+        value[series], error[series] = _e1_series(x[series])
+    if near.any():
+        value[near], error[near] = _e1_fraction(x[near], c2[near])
+    # x f'(x) = x f - 1 for f = e^x E1(x); refused points keep no bound
+    with np.errstate(invalid="ignore"):
+        error += 4.0 * _EPS * np.abs(x * value - 1.0)
+    error[~valid] = np.inf
+    return value, error
+
+
+def _e1_fraction(x, c2):
+    """e^x E1(x) from its continued fraction, and its bound."""
+    value, gap, rel = _laguerre(x, c2, 0)
+    return value, gap + np.abs(value) * rel
+
+
+def _faddeeva(z):
+    """w(z) = e^{-z^2} erfc(-iz) at each point of an array of complex z,
+    and its bound.
+
+    Below |z| = 1.5 it is the Taylor series of w, where it loses at most
+    2 sqrt(pi) |z| e^{|z|^2}; beyond, the Laplace continued fraction
+    (i / sqrt(pi)) / (z - (1/2) / (z - 1 / (z - (3/2) / (z - ...))))
+    (Gautschi, SIAM J. Numer. Anal. 7, 187, 1970; Poppe and Wijers, ACM
+    TOMS 16, 38, 1990), which contracts in x = -z^2 to -iz / sqrt(pi) /
+    (x + 1/2 - (1/2) / (x + 5/2 - 3 / (x + 9/2 - ...))), `_laguerre` at
+    alpha = -1/2 with c2 = Im(z)^2.  Each point is evaluated on its own.
+    The bound adds the truncation, the rounding and eps |z w'(z)| for the
+    rounding of z^2 here; the caller adds its own rounding of z.  Outside
+    pi / 8 <= arg z <= 7 pi / 8, where tests/special_reference.json checks
+    it, the value is nan and the bound infinite; z = 0 is taken.
+    """
+    z = np.asarray(z, dtype=complex)
+    value, error = np.full(z.shape, np.nan + 0j), np.full(z.shape, np.inf)
+    arg = np.angle(z)
+    inside = ((arg >= _W_SECTOR[0]) & (arg <= _W_SECTOR[1])) | (z == 0.0)
+    valid = inside & (np.abs(z) <= _W_REACH)
+    taylor = valid & (np.abs(z) < _W_TAYLOR)
+    near = valid & ~taylor
+    for where, evaluate in ((taylor, _w_taylor), (near, _w_fraction)):
+        if where.any():
+            value[where], error[where] = evaluate(z[where])
+    # z w'(z) = 2z (i / sqrt(pi) - z w); refused points keep no bound
+    with np.errstate(invalid="ignore", over="ignore"):
+        error += _EPS * np.abs(2.0 * z * (1j / math.sqrt(math.pi) - z * value))
+    error[~valid] = np.inf
+    return value, error
+
+
+def _w_fraction(z):
+    """w(z) from its continued fraction, and its bound: the factor
+    -iz / sqrt(pi) rounds by eps and the product by 1.2 eps."""
+    fraction, gap, rel = _laguerre(-(z * z), z.imag**2, 1)
+    top = -1j / math.sqrt(math.pi) * z
+    return top * fraction, np.abs(top) * (gap + np.abs(fraction) * (rel + 2.2 * _EPS))
+
+
+def _e1_rest(r, terms):
+    """A bound on sum_{k > terms} r^k / (k k!), for r < terms + 2."""
+    k = terms + 1
+    return r**k / (k * math.factorial(k)) / (1.0 - r / (k + 1))
+
+
+def _w_rest(r, terms):
+    """A bound on sum_{m > terms} (2r^2)^m / (2m+1)!!, for 2r^2 < 2 terms + 5."""
+    u, m = 2.0 * r * r, terms + 1
+    return u**m / math.prod(range(1, 2 * m + 2, 2)) / (1.0 - u / (2 * m + 3))
+
+
+# the series' terms, fixed so that a point's bits do not depend on the
+# others: the remainder at the regime's largest argument is below eps / 16
+# of e^-r / (r + 2), a floor of |E1| there, for e^x E1 (|x| up to
+# 3 / (1 - cos(pi / 4)) on the sector), and below eps / 64 for w, which
+# keeps under eps / 16 of 0.3, a floor of |w| on the half disc, after
+# the factor 2 |z| / sqrt(pi)
+_E1_REACH = 2.0 * _E1_SERIES / (1.0 + math.cos(_E1_SECTOR))
+_E1_COEF = [0.0] + [1.0 / (k * math.factorial(k)) for k in range(1, next(
+    n for n in itertools.count(1)
+    if n + 2 > _E1_REACH
+    and _e1_rest(_E1_REACH, n) <= _EPS / 16.0 * math.exp(-_E1_REACH) / (_E1_REACH + 2.0)) + 1)]
+_W_COEF = [1.0 / math.prod(range(1, 2 * m + 2, 2)) for m in range(next(
+    n for n in itertools.count(1)
+    if 2.0 * _W_TAYLOR**2 < 2 * n + 5 and _w_rest(_W_TAYLOR, n) <= _EPS / 64.0) + 1)]
+
+
+def _e1_series(x):
+    """e^x E1(x) = e^x (-gamma - log x - sum_k (-x)^k / (k k!)) and its
+    bound, for c2 < 1.5."""
+    r = np.abs(x)
+    total, total_err = _horner(_E1_COEF, -x)
+    log = np.log(x)
+    e1 = -_EULER - log - total
+    scale = np.exp(x)
+    value = scale * e1
+    # the sum's rounding and remainder; the log's, the constant's and the
+    # two differences'; the exponential's and the product's
+    e1_err = (total_err + _e1_rest(r, len(_E1_COEF) - 1)
+              + _EPS * (2.0 * np.abs(log) + 3.0 + 2.0 * np.abs(total) + np.abs(e1)))
+    return value, np.abs(scale) * e1_err + 3.0 * _EPS * np.abs(value)
+
+
+def _w_taylor(z):
+    """w(z) = e^{-z^2} + (2i / sqrt(pi)) z sum_m (-2z^2)^m / (2m+1)!! and
+    its bound, for |z| < 1.5."""
+    r = np.abs(z)
+    square = z * z
+    odd, odd_err = _horner(_W_COEF, -2.0 * square)
+    even = np.exp(-square)
+    odd = 2j / math.sqrt(math.pi) * z * odd
+    value = even + odd
+    # the exponential's and the odd part's products, and the sum
+    return value, (2.0 / math.sqrt(math.pi) * r * (odd_err + _w_rest(r, len(_W_COEF) - 1))
+                   + 3.0 * _EPS * (np.abs(even) + np.abs(odd)) + _EPS * np.abs(value))
+
+
+def _horner(coef, y):
+    """sum_j coef[j] y^j over an array y by Horner's rule, and a running
+    bound on its rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Algorithm 5.1): with complex products and
+    real coefficients that round themselves, step j errs by at most
+    (sqrt(5) + 1) u |p_{j+1} y| + 2 u |p_j|, u = eps / 2, so the sum errs
+    by at most 3 eps sum_j |y|^j |p_j|."""
+    r = np.abs(y)
+    p = np.full(y.shape, coef[-1], dtype=complex)
+    mu = np.abs(p)
+    for c in coef[-2::-1]:
+        p = p * y + c
+        mu = mu * r + np.abs(p)
+    return p, 3.0 * _EPS * mu
+
+
+@functools.lru_cache(maxsize=None)
+def _rules():
+    """Per alpha (0, then -1/2), for each shallow depth of _LEVELS but the
+    last: (nodes, weights, size), the Gauss rules of t^alpha e^-t at the
+    next depth (size nodes) and at the shallow one, end to end, each in
+    falling node order; and, as one array over the shallow depths, the
+    next depth's sum_j (j + 1) w_j with the nodes in rising order."""
+    with (resources.files(__package__) / "laguerre_rules.npy").open("rb") as stream:
+        table = np.load(stream)
+    ends = np.cumsum((0, *_LEVELS))
+    out = []
+    for family in table:
+        rules = [family[lo:hi][::-1] for lo, hi in zip(ends[:-1], ends[1:])]
+        pairs = [(np.concatenate([deep[:, 0], shallow[:, 0]]).astype(complex),
+                  np.concatenate([deep[:, 1], shallow[:, 1]]).astype(complex), len(deep))
+                 for shallow, deep in zip(rules[:-1], rules[1:])]
+        spread = np.array([np.arange(len(deep), 0, -1) @ deep[:, 1] for deep in rules[1:]])
+        out.append((pairs, spread))
+    return out
+
+
+def _laguerre(x, c2, family):
+    """The Laguerre continued fraction 1 / (x + 1 + alpha - 1 (1 + alpha) /
+    (x + 3 + alpha - 2 (2 + alpha) / (x + 5 + alpha - ...))) at the points x,
+    alpha = 0 (family 0) or -1/2 (family 1), with c2 = (Re sqrt x)^2: its
+    value, its truncation gap and its relative rounding bound.
+
+    The n-th approximant is the n-point Gauss rule of the probability
+    measure t^alpha e^-t dt / Gamma(1 + alpha) applied to 1 / (x + t), so
+    it is summed as sum_j w_j / (x + t_j) with the rules of
+    laguerre_rules.npy.  The error falls as e^{-4 sqrt(n c2)}, and over
+    both sectors 92 / c2 + 8 terms reach eps: a point's shallow depth is
+    the first of _LEVELS past 100 / c2 + 8, its value is taken at the next
+    one, and the gap between the two is the truncation estimate.  Both
+    depths depend on the point alone, so it gets the same bits alone as in
+    any array.
+
+    Each term rounds by at most 10.4 u of w_j / |x + t_j|, u = eps / 2:
+    the sum x + t_j and the complex quotient (7 u), and the rule's node
+    and weight, each rounded once, the node moving the term by at most
+    sqrt(2) u since |x + t| >= t / sqrt(2) on the sector.  The terms are
+    added one by one from the largest node, whose terms are the smallest,
+    and each addition rounds by u times a partial sum of the terms added,
+    so the value errs by at most u (10.4 + sum_j (j + 1) w_j) / d(x), with
+    the weights in rising node order and d(x) the distance of x from
+    (-inf, 0], since sum_j w_j = 1.  The shallow sum, only an estimate,
+    runs on after the value and is read as a difference.
+    """
+    rules, spread = _rules()[family]
+    shallow = np.minimum(np.searchsorted(_LEVELS, 100.0 / c2 + 8.0), len(rules) - 1)
+    value, rest = np.empty(x.shape, dtype=complex), np.empty(x.shape, dtype=complex)
+    for level in sorted(set(shallow.tolist())):
+        nodes, weights, size = rules[level]
+        group = np.flatnonzero(shallow == level)
+        # tables of at most _TERMS terms keep a long time grid's memory flat
+        step = max(1, _TERMS // nodes.size)
+        for lo in range(0, group.size, step):
+            at = group[lo:lo + step]
+            sums = np.cumsum(weights / (x[at][:, None] + nodes), axis=1)
+            value[at], rest[at] = sums[:, size - 1], sums[:, -1]
+    distance = np.where(x.real >= 0.0, np.abs(x), np.abs(x.imag))
+    rel = 0.5 * _EPS * (10.4 + spread[shallow]) / (distance * np.abs(value))
+    return value, np.abs(2.0 * value - rest), rel
 
 
 def _ray_parts(q, energy, t):
     """e^x E1(x) and F(q) at the momenta q (an array) with q^2 = energy,
     x = -i energy t, for each t of an array (one row per t), and their
-    rounding bounds; B_1(+-q) = [e^x E1(x) +- F(q)] / 2."""
-    e1x, e1_err = _e1_scaled(np.multiply.outer(-1j * t, energy))
+    bounds; B_1(+-q) = [e^x E1(x) +- F(q)] / 2."""
     z = np.multiply.outer(_ROT * np.sqrt(t), q)
     upper = z.imag > 0.0
     zu = np.where(upper, z, -z)
-    w = wofz(zu)
+    e1x, e1_err = _e1_scaled(np.multiply.outer(-1j * t, energy))
+    w, w_err = _faddeeva(zu)
     f = np.where(upper, 1j, -1j) * math.pi * w
     # z w'(z) = 2 z (i / sqrt(pi) - z w) carries the rounding of z
     dw = np.abs(2.0 * zu * (1j / math.sqrt(math.pi) - zu * w))
-    return e1x, f, e1_err, math.pi * (_SPECIAL_REL * np.abs(w) + 4.0 * _EPS * dw)
+    return e1x, f, e1_err, math.pi * (w_err + 4.0 * _EPS * dw)
 
 
 def _residues(q, energy, t, order):

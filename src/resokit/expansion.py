@@ -218,15 +218,20 @@ class ResonanceExpansion:
     def background_with_error(self, t):
         """Background integral at time t and its error, from the Laplace table
         gated against the larger of it and the pole sum."""
-        t = forward_time(t, _FORWARD)
-        return self._table(t, floor=abs(self._pole_sums(t)))
+        return self._parts(forward_time(t, _FORWARD))[1:]
+
+    def _parts(self, t):
+        """(pole sum, background, background error) at a time already checked."""
+        pole = complex(self._pole_sums(t))
+        return (pole, *self._table(t, floor=abs(pole)))
 
     def background(self, t):
         return self.background_with_error(t)[0]
 
     def reconstruct(self, t):
         """Pole sum plus background: the deformed pairing at time t."""
-        return self.pole_sum(t) + self.background(t)
+        pole, background, _ = self._parts(forward_time(t, _FORWARD))
+        return pole + background
 
     def truncation_error(self, t):
         """Relative weight of the background against the full pairing.
@@ -234,7 +239,8 @@ class ResonanceExpansion:
         Falls back to the absolute difference (relative=False) when the
         full value is numerically zero.
         """
-        return TruncationError.from_parts(self.pole_sum(t), self.background(t))
+        pole, background, _ = self._parts(forward_time(t, _FORWARD))
+        return TruncationError.from_parts(pole, background)
 
 
 # u = e^{i pi/4} s turns e^{i u^2 t} into e^{-s^2 t}
@@ -289,13 +295,13 @@ def expand(psi, state, model):
 
 
 def background_profile(expansion, times):
-    """|background| sampled on a nonempty, strictly increasing time grid;
-    `ResonanceExpansion.grid` checks the times as it checks its own."""
-    backgrounds = expansion.grid(times)[1]
-    ts = np.asarray(times, dtype=float)
-    if ts.size == 0 or np.any(np.diff(ts) <= 0.0):
+    """|background| sampled on a nonempty, strictly increasing time grid,
+    checked by the time rule and for its order before anything is
+    evaluated."""
+    ts = forward_times(times, _FORWARD)
+    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise ConfigurationError("need a nonempty, strictly increasing time grid")
-    return ts, np.abs(backgrounds)
+    return ts, np.abs(expansion.grid(ts)[1])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ digits and stored to 20.  It shares no code with resokit.exact:
 Cases: the kaon_pair and contour_check built-ins at 0, 1 and 3 lifetimes
 of the narrowest pole, and a sweep of one pole at E_R = 1 over widths,
 wave orders, times and three states (the default pole 1.5 + 0.8i, a pole
-exactly at conj(z), and one 1e-7 from it).
+exactly at conj(z), and one 1e-7 from it); last, the kaon_pair layout at
+120 lifetimes (case sweep_kaon_late), which the closed form certifies
+only since its special functions report their own bounds.
 
 `--check` recomputes every row and fails if any differs from the
 committed JSON, down to the last stored digit.
@@ -116,6 +118,8 @@ def cases():
                     out.append({"case": f"sweep_{label}", "resonances": [(1.0, width)],
                                 "dual": DUAL, "state": state, "order": order,
                                 "t": n / width})
+    out.append({"case": "sweep_kaon_late", "resonances": kaon, "dual": DUAL, "state": STATE,
+                "order": 2, "t": 120.0 / 0.2})
     return out
 
 

@@ -129,7 +129,8 @@ def test_cancellation_raises(psi, pole):
 
 
 def test_e1_scaled_pointwise_in_mixed_arrays():
-    # below |x| = 50 scipy's exp1, from there the asymptotic series; each
+    # the power series and the continued fraction, summed to depths set by
+    # each point's own argument from small |x| to past |x| = 50; each
     # point of a mixed array gets what it gets alone
     x = np.array([0.3 - 2.0j, -60.0j, 5.0 - 30.0j, 40.0 + 35.0j, -0.7j, 80.0 - 10.0j,
                   -49.9j, -50.0j])

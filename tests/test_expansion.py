@@ -19,6 +19,7 @@ from resokit.expansion import (
     EffectiveMatrix,
     PreparedState,
     ResonanceExpansion,
+    TruncationError,
     background_profile,
     dirac_pairing,
     effective_matrix,
@@ -391,6 +392,42 @@ class TestBackgroundProfile:
         for times in ([], [[1.0, 2.0]], [1.0, 1.0, 2.0], ["a"], [1j]):
             with pytest.raises(ConfigurationError):
                 background_profile(exp_one, times)
+
+    def test_refuses_before_evaluating(self, exp_one, monkeypatch):
+        # a decreasing grid is refused before the background is summed on it
+        def refused(self, times):
+            raise AssertionError("the grid was evaluated before it was checked")
+
+        monkeypatch.setattr(type(exp_one), "grid", refused)
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            background_profile(exp_one, [2.0, 1.0])
+
+
+class TestPointEvaluation:
+    def test_one_check_and_one_pole_sum(self, exp_two, monkeypatch):
+        # reconstruct and truncation_error check t once and sum the poles
+        # once, and give the bits of pole_sum plus background
+        calls = {"forward_time": 0, "_pole_sums": 0}
+        checked, summed = expansion.forward_time, type(exp_two)._pole_sums
+
+        def forward_time(*args):
+            calls["forward_time"] += 1
+            return checked(*args)
+
+        def pole_sums(self, ts):
+            calls["_pole_sums"] += 1
+            return summed(self, ts)
+
+        for t in (0.0, 0.7, 12.0, 60.0):
+            pole, background = exp_two.pole_sum(t), exp_two.background(t)
+            expected = TruncationError.from_parts(pole, background)
+            monkeypatch.setattr(expansion, "forward_time", forward_time)
+            monkeypatch.setattr(type(exp_two), "_pole_sums", pole_sums)
+            assert exp_two.reconstruct(t) == pole + background
+            assert exp_two.truncation_error(t) == expected
+            assert calls == {"forward_time": 2, "_pole_sums": 2}
+            monkeypatch.undo()
+            calls.update(forward_time=0, _pole_sums=0)
 
 
 class TestEffectiveMatrix:

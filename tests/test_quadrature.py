@@ -262,21 +262,26 @@ def test_quadpack_calls_go_through_the_module_quad(monkeypatch):
 
 def test_runs_never_load_scipy_integrate(tmp_path):
     # a fresh interpreter, since pytest's warning filter for
-    # scipy.integrate.IntegrationWarning has loaded it into this one
+    # scipy.integrate.IntegrationWarning has loaded it into this one; the
+    # CLI and the six built-in runs load no scipy module at all, and only
+    # the QUADPACK oracle brings in scipy.integrate
     script = textwrap.dedent("""
         import json, sys
-        from resokit import cli, quadrature, scenarios
 
         def loaded():
-            return sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse")
-                          if m in sys.modules)
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        import resokit.cli
+        on_import = loaded()
+        from resokit import cli, quadrature, scenarios
 
         names = [row["name"] for row in scenarios.list_scenarios()]
         codes = [cli.main(["run", name, "--out-dir", sys.argv[1]]) for name in names]
         before = loaded()
         value, err = quadrature.complex_quad(lambda x: x + 1j * x, 0.0, 1.0)
-        print(json.dumps({"names": names, "codes": codes, "before": before,
-                          "value": [value.real, value.imag], "err": err, "after": loaded()}))
+        print(json.dumps({"names": names, "codes": codes, "on_import": on_import,
+                          "before": before, "value": [value.real, value.imag], "err": err,
+                          "after": loaded()}))
     """)
     src = str(Path(resokit.__file__).parents[1])
     env = {**os.environ,
@@ -286,7 +291,7 @@ def test_runs_never_load_scipy_integrate(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert len(out["names"]) == 6 and out["codes"] == [0] * 6
     assert all((tmp_path / f"{name}.csv").is_file() for name in out["names"])
-    assert out["before"] == []
+    assert out["on_import"] == [] and out["before"] == []
     assert abs(complex(*out["value"]) - (0.5 + 0.5j)) <= out["err"]
     assert "scipy.integrate" in out["after"]
 

@@ -8,6 +8,7 @@ refuse the same t with the same error class.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ SWEEP = np.r_[0.0, np.geomspace(1e-3, 1e6, 700)]
 # the two agree to a few units in the last place, not bit for bit: 1.13e-15
 # of the value at most on these sweeps.
 SUM_ORDER = 2e-15
+# 60-digit values written by tests/exact_reference.py
+EXACT_REFERENCE = json.loads(Path(__file__).with_name("exact_reference.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -185,11 +188,19 @@ class TestPairingGrid:
                       <= 1e-12 * np.abs(pairing.value))
 
     def test_gate_names_the_time(self, parts_two):
-        # at 120 lifetimes of the narrow pole the bound passes 1e-9 of |I|
-        with pytest.raises(QuadratureError, match="at t = 600 "):
-            parts_two.pairing(np.array([5.0, 600.0, 5.0]))
-        with pytest.raises(QuadratureError, match="at t = 600 "):
-            parts_two.pairing(600.0)
+        # at 200 lifetimes of the narrow pole the bound passes 1e-9 of |I|
+        with pytest.raises(QuadratureError, match="at t = 1000 "):
+            parts_two.pairing(np.array([5.0, 1000.0, 5.0]))
+        with pytest.raises(QuadratureError, match="at t = 1000 "):
+            parts_two.pairing(1000.0)
+
+    def test_certifies_at_120_lifetimes(self, parts_two):
+        # the rounding of E t, not a flat charge on e^x E1 and w, now sets
+        # the horizon; the 60-digit value comes from tests/exact_reference.py
+        row = next(row for row in EXACT_REFERENCE if row["case"] == "sweep_kaon_late")
+        reference = complex(float(row["value"][0]), float(row["value"][1]))
+        result = parts_two.pairing(row["t"])
+        assert abs(result.value - reference) <= result.error <= 1e-9 * abs(result.value)
 
     @pytest.mark.parametrize(
         "times, failure",
@@ -203,13 +214,13 @@ class TestPairingGrid:
             parts_two.pairing(times)
 
 
-def test_contour_check_at_120_lifetimes_still_refuses(tmp_path, capsys):
+def test_contour_check_at_200_lifetimes_still_refuses(tmp_path, capsys):
     # the closed form's rounding bound, not its value, sets this horizon
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kind": "contour_check", "parameters": {
         "resonances": [{"energy": 1.0, "width": 0.2}, {"energy": 1.6, "width": 0.35}],
-        "times_lifetimes": [1.0, 120.0]}}))
+        "times_lifetimes": [1.0, 200.0]}}))
     assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "QuadratureError" and "t = 600 " in error["message"]
+    assert error["type"] == "QuadratureError" and "t = 1000 " in error["message"]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]

@@ -41,7 +41,7 @@ from .hardy import HalfPlane, HardyFunction
 # names, and its self-tests require every wrapped site to resolve
 from .hardy import paley_wiener_check  # noqa: F401
 from .quadrature import circle_residue, complex_quad  # noqa: F401
-from .quadrature import LAPLACE_RULE, LaplaceTable, laplace_sample
+from .quadrature import LaplaceTable, laplace_sample
 from .quadrature import decaying_fourier_quad, oscillatory_quad
 from .surface import SMatrixModel, blaschke_residue
 
@@ -161,21 +161,17 @@ _FORWARD = "expansion terms evolve forward only"
 
 @dataclass(frozen=True, eq=False)
 class ResonanceExpansion:
-    """Pole coefficients plus a frozen background table: the Laplace
-    rule's nodes s_j and weights w_j on the steepest-descent line and the
-    line integrand v_j there, bg(t) = sum_j w_j v_j e^{-s_j^2 t}."""
+    """Pole coefficients plus a frozen background table: the line
+    integrand v_j at the Laplace rule's nodes s_j on the steepest-descent
+    line, bg(t) = sum_j w_j v_j e^{-s_j^2 t} with the rule's weights w_j."""
 
     model: SMatrixModel
     psi: HardyFunction
     state: PreparedState
     coefficients: tuple
-    ray_nodes: np.ndarray = field(repr=False)
-    ray_weights: np.ndarray = field(repr=False)
     ray_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not all(map(np.array_equal, (self.ray_nodes, self.ray_weights), LAPLACE_RULE)):
-            raise ConfigurationError("the background table must lie on the Laplace rule")
         object.__setattr__(self, "_table", LaplaceTable(self.ray_values, power=2))
         # -i z_i per pole, so the pole terms are e^{t (-i z_i)} b_i
         object.__setattr__(self, "_rates", -1j * np.array(self.eigenvalues, dtype=complex))
@@ -290,7 +286,6 @@ def expand(psi, state, model):
         return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
 
     return ResonanceExpansion(model=model, psi=psi, state=state, coefficients=coeffs,
-                              ray_nodes=LAPLACE_RULE[0], ray_weights=LAPLACE_RULE[1],
                               ray_values=laplace_sample(line_values))
 
 

@@ -25,7 +25,7 @@ detector.  P is defined for t >= 0 only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,7 +135,7 @@ class Detector:
         for label, eff in self._eff.items():
             if callable(eff):
                 probe = np.asarray(eff(_EFFICIENCY_PROBE), dtype=float)
-                bad = np.any(probe < 0.0) or np.any(probe > 1.0)
+                bad = not np.all((probe >= 0.0) & (probe <= 1.0))  # nan fails too
             else:
                 bad = not (0.0 <= float(eff) <= 1.0)
             if bad:
@@ -159,13 +159,13 @@ class Detector:
 
 @dataclass(frozen=True)
 class DecayConfig:
-    """Resonance, channels and detector, plus normalization state."""
+    """Resonance, channels and detector; only `normalize` normalizes it."""
 
     resonance: ResonancePole
     channels: tuple
     detector: Detector
-    normalized: bool = False
-    rescale: float = 1.0
+    # the channel integrals by label, set by `normalize` alone
+    _integrals: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.channels:
@@ -173,7 +173,14 @@ class DecayConfig:
         labels = [c.label for c in self.channels]
         if len(set(labels)) != len(labels):
             raise ConfigurationError("duplicate channel labels")
+        unknown = [label for label in self.detector.labels() if label not in labels]
+        if unknown:
+            raise ConfigurationError(f"detector efficiencies for unknown channels {unknown}")
         object.__setattr__(self, "channels", tuple(self.channels))
+
+    @property
+    def normalized(self):
+        return self._integrals is not None
 
     def channel(self, label):
         for c in self.channels:
@@ -213,8 +220,7 @@ def normalize(config):
         raise NormalizationError("total coupling vanishes; cannot normalize")
     factor = config.resonance.width / total
     channels = tuple(replace(c, strength=c.strength * factor) for c in config.channels)
-    out = replace(config, channels=channels, normalized=True,
-                  rescale=config.rescale * factor)
+    out = replace(config, channels=channels)
     object.__setattr__(out, "_integrals", integrals)
     return out
 
@@ -222,9 +228,7 @@ def normalize(config):
 def partial_width(config, label):
     """Gamma_eta = 2 pi v2_eta integral w_eta bw dE (ideal weighting)."""
     c = config.channel(label)
-    integral = getattr(config, "_integrals", {}).get(label)
-    if integral is None:
-        integral = _channel_integral(config, c)
+    integral = config._integrals[label] if config.normalized else _channel_integral(config, c)
     return 2.0 * math.pi * c.strength * integral
 
 

@@ -72,6 +72,8 @@ _EPS = np.finfo(float).eps
 # times per product in `LaplaceTable.grid`: a stride-16 chunk of
 # e^{-x_j^power t} is 297 x 256 doubles, about 0.6 MB
 _GRID_CHUNK = 256
+# midpoint nodes on the circle of `circle_residue`
+_CIRCLE_NODES = 256
 
 
 def laplace_sample(f):
@@ -411,14 +413,14 @@ def decaying_fourier_quad(f, omega, **kwargs):
     return _fourier_parts(f, np.inf, omega, **kwargs)
 
 
-def circle_residue(f, center, radius, nodes=256):
+def circle_residue(f, center, radius):
     """(1/2 pi i) contour integral of f on a circle: the residue of an
     isolated singularity inside it.
 
-    Midpoint rule on the circle; spectrally accurate for integrands
-    analytic in an annulus around the contour.
+    Midpoint rule of _CIRCLE_NODES points on the circle; spectrally
+    accurate for integrands analytic in an annulus around the contour.
     """
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * np.pi * (np.arange(_CIRCLE_NODES) + 0.5) / _CIRCLE_NODES
     z = center + radius * np.exp(1j * theta)
     # dz = i r e^{i theta} dtheta folds the 1/(2 pi i) away
     return np.mean(f(z) * radius * np.exp(1j * theta))

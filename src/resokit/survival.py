@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class SpectralDensity:
     resonance: ResonancePole
     alpha: int = 0
     power: int = 1
-    norm: float = 0.0
+    norm: float = field(init=False)
 
     def __init__(self, resonance, alpha=0, power=1):
         if not isinstance(resonance, ResonancePole):
@@ -250,33 +250,39 @@ def deviation_onset(density, threshold=0.01, t_grid=None):
     raise WindowError(message, partial=scanned)
 
 
-def fit_log_slope(times, values, residual_tol=0.02):
+# rms log residual past which `fit_log_slope` calls the data no power law
+_FIT_RESIDUAL_TOL = 0.02
+# log-spaced times `tail_exponent` fits over its window
+_TAIL_POINTS = 25
+
+
+def fit_log_slope(times, values):
     """Least-squares slope of log(values) against log(times).
 
     Rejects data that is not a power law: if the rms residual of the
-    fit exceeds residual_tol the data curves on log-log axes (for
+    fit exceeds _FIT_RESIDUAL_TOL the data curves on log-log axes (for
     example a pure exponential) and RegimeError is raised.
     """
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 3:
         raise ConfigurationError("need matching 1-d arrays with >= 3 samples")
-    if np.any(ts <= 0.0) or np.any(vs <= 0.0):
-        raise ConfigurationError("log-log fit needs positive times and values")
+    if not np.all(np.isfinite(ts) & np.isfinite(vs) & (ts > 0.0) & (vs > 0.0)):
+        raise ConfigurationError("log-log fit needs finite, positive times and values")
     x = np.log(ts)
     y = np.log(vs)
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)
     rms = float(np.sqrt(np.mean(resid**2)))
-    if rms > residual_tol:
+    if not rms <= _FIT_RESIDUAL_TOL:
         raise RegimeError(
             f"data is not a power law (rms log residual {rms:.3e} "
-            f"exceeds {residual_tol:g})"
+            f"exceeds {_FIT_RESIDUAL_TOL:g})"
         )
     return float(coeffs[0])
 
 
-def tail_exponent(density, t_range=None, points=25, residual_tol=0.02):
+def tail_exponent(density, t_range=None):
     """Late-time exponent of |A(t)|^2 from a log-log fit."""
     g = density.resonance.width
     if t_range is None:
@@ -284,6 +290,6 @@ def tail_exponent(density, t_range=None, points=25, residual_tol=0.02):
     lo, hi = (float(t_range[0]), float(t_range[1]))
     if not 0.0 < lo < hi:
         raise ConfigurationError("t_range must satisfy 0 < lo < hi")
-    ts = np.geomspace(lo, hi, points)
+    ts = np.geomspace(lo, hi, _TAIL_POINTS)
     vals = np.array([survival_probability(density, t) for t in ts])
-    return fit_log_slope(ts, vals, residual_tol=residual_tol)
+    return fit_log_slope(ts, vals)

@@ -30,7 +30,6 @@ committed JSON, down to the last stored digit.
 """
 
 import cmath
-import json
 import math
 import random
 import sys
@@ -39,7 +38,7 @@ from pathlib import Path
 import mpmath as mp
 
 sys.path.insert(0, str(Path(__file__).parent))
-from survival_reference import Shape, _legs  # noqa: E402
+from survival_reference import Shape, _legs, write_or_check  # noqa: E402
 
 mp.mp.dps = 40
 SEED = "special-functions"
@@ -127,24 +126,8 @@ def tables():
     }
 
 
-def main(argv):
-    if argv not in ([], ["--check"]):
-        sys.exit(__doc__)
-    lines = {key: [json.dumps(row) for row in rows] for key, rows in tables().items()}
-    path = Path(__file__).with_name("special_reference.json")
-    if argv:
-        stored = {key: [json.dumps(row) for row in rows]
-                  for key, rows in json.loads(path.read_text()).items()}
-        bad = {key: [i for i, (new, old) in enumerate(zip(rows, stored.get(key, []))) if new != old]
-               for key, rows in lines.items()}
-        counts = {key: (len(rows), len(stored.get(key, []))) for key, rows in lines.items()}
-        print(f"rows recomputed against committed {counts}: differ {bad}")
-        ok = not any(bad.values()) and all(a == b for a, b in counts.values())
-        sys.exit(0 if ok and stored.keys() == lines.keys() else 1)
-    text = ",\n".join(f'"{key}": [\n' + ",\n".join(rows) + "\n]" for key, rows in lines.items())
-    path.write_text("{\n" + text + "\n}\n")
-    print(f"wrote {sum(map(len, lines.values()))} values to {path}")
-
-
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(__doc__)
+    write_or_check(Path(__file__).with_name("special_reference.json"), tables(),
+                   sys.argv[1:] == ["--check"])

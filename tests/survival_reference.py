@@ -1,6 +1,7 @@
 """Write tests/survival_reference.json: mpmath values of the survival amplitude.
 
-    python3 tests/survival_reference.py
+    python3 tests/survival_reference.py           # write the JSON
+    python3 tests/survival_reference.py --check   # recompute and compare
 
 Needs mpmath, which resokit does not depend on.  For the density
 rho(E) = z^alpha (c / ((z - z0)(z - conj z0)))^power, z0 = E_R - i Gamma/2,
@@ -29,9 +30,13 @@ Two tables:
   `mp.quad` along the real axis and must equal A(0) before normalizing;
 * "legs": the leg of the unnormalized shape for all four shapes over
   widths 1.9 to 1e-12 and lifetimes 0 to 708, for the width sweep.
+
+`--check` recomputes every row and fails if any differs from the
+committed JSON, down to the last stored digit.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -147,14 +152,27 @@ def legs():
     return out
 
 
-def main():
-    data = {"amplitudes": amplitudes(), "legs": legs()}
-    path = Path(__file__).with_name("survival_reference.json")
-    rows = [f'"{key}": [\n' + ",\n".join(json.dumps(row) for row in value) + "\n]"
-            for key, value in data.items()]
-    path.write_text("{\n" + ",\n".join(rows) + "\n}\n")
-    print(f"wrote {sum(map(len, data.values()))} values to {path}")
+def write_or_check(path, tables, check):
+    """Write the tables' rows to path as JSON, one row a line, or with
+    check compare them with the committed file and exit 1 on any
+    changed, missing or extra row."""
+    lines = {key: [json.dumps(row) for row in rows] for key, rows in tables.items()}
+    if check:
+        stored = {key: [json.dumps(row) for row in rows]
+                  for key, rows in json.loads(path.read_text()).items()}
+        bad = {key: [i for i, (new, old) in enumerate(zip(rows, stored.get(key, []))) if new != old]
+               for key, rows in lines.items()}
+        counts = {key: (len(rows), len(stored.get(key, []))) for key, rows in lines.items()}
+        print(f"rows recomputed against committed {counts}: differ {bad}")
+        ok = not any(bad.values()) and all(a == b for a, b in counts.values())
+        sys.exit(0 if ok and stored.keys() == lines.keys() else 1)
+    text = ",\n".join(f'"{key}": [\n' + ",\n".join(rows) + "\n]" for key, rows in lines.items())
+    path.write_text("{\n" + text + "\n}\n")
+    print(f"wrote {sum(map(len, lines.values()))} values to {path}")
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(__doc__)
+    write_or_check(Path(__file__).with_name("survival_reference.json"),
+                   {"amplitudes": amplitudes(), "legs": legs()}, sys.argv[1:] == ["--check"])

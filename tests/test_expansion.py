@@ -52,14 +52,11 @@ def exp_two(psi, state, model_two):
 
 def _synthetic(model, psi, state, coefficients, values):
     """An expansion whose table holds `values` on the Laplace rule."""
-    nodes, weights = LAPLACE_RULE
     return ResonanceExpansion(
         model=model,
         psi=psi,
         state=state,
         coefficients=coefficients,
-        ray_nodes=nodes,
-        ray_weights=weights,
         ray_values=np.asarray(values, dtype=complex),
     )
 
@@ -339,11 +336,12 @@ class TestExpansion:
             exp_one.ray_values[0] = 0.0
 
     def test_table_is_small(self, exp_one, exp_two):
-        # every expansion shares the 4,737-node Laplace rule
+        # every expansion holds one value per node of the 4,737-node
+        # Laplace rule, which it does not store
         for exp in (exp_one, exp_two):
-            np.testing.assert_array_equal(exp.ray_nodes, LAPLACE_RULE[0])
-            assert exp.ray_nodes.size == 4737
-            assert np.all(exp.ray_nodes > 0.0)
+            assert exp.ray_values.shape == LAPLACE_RULE[0].shape == (4737,)
+        with pytest.raises(TypeError):
+            dataclasses.replace(exp_one, ray_nodes=LAPLACE_RULE[0])
 
     def test_no_horizon_parameter(self, psi, state, model):
         with pytest.raises(TypeError):
@@ -365,13 +363,6 @@ class TestSyntheticTables:
         err = exp.truncation_error(1.0)
         assert not err.relative
         assert err.error == 0.0
-
-    def test_refuses_another_rule(self, model, psi, state):
-        # the error bounds assume the Laplace rule's nodes and weights
-        exp = _synthetic(model, psi, state, (0.0j,), np.zeros(LAPLACE_RULE[0].size))
-        for field in ("ray_nodes", "ray_weights"):
-            with pytest.raises(ConfigurationError, match="Laplace rule"):
-                dataclasses.replace(exp, **{field: 2.0 * getattr(exp, field)})
 
     def test_stride_gate_fires(self, model, psi, state):
         # a sign that flips from node to node, zero at both ends: every

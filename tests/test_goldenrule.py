@@ -109,6 +109,13 @@ class TestDetector:
         with pytest.raises(ConfigurationError):
             Detector({"a": lambda e: 2.0 * np.ones_like(np.asarray(e))})
 
+    def test_nan_efficiency_refused(self):
+        # accepted, it would end the first rate call in the Lorentzian quadrature
+        with pytest.raises(ConfigurationError, match="'a'"):
+            Detector({"a": lambda e: np.where(np.asarray(e) > 1.0, np.nan, 0.5)})
+        with pytest.raises(ConfigurationError):
+            Detector({"a": float("nan")})
+
     def test_default_is_ideal(self):
         d = Detector.ideal()
         assert np.all(d.efficiency("anything", np.array([1.0, 2.0])) == 1.0)
@@ -123,6 +130,53 @@ class TestConfigValidation:
         ch = Channel(label="a", strength=1.0, form_factor=FormFactor(1.0))
         with pytest.raises(ConfigurationError):
             DecayConfig(resonance=resonance, channels=(ch, ch), detector=Detector.ideal())
+
+    def test_detector_labels_must_name_channels(self, resonance):
+        # accepted, a misspelt label would leave "main" at full efficiency:
+        # registered fraction 1 instead of 0
+        main = Channel(label="main", strength=1.0, form_factor=FormFactor(1.0))
+        with pytest.raises(ConfigurationError, match="mian"):
+            DecayConfig(resonance=resonance, channels=(main,), detector=Detector({"mian": 0.0}))
+        config = normalize(DecayConfig(resonance=resonance, channels=(main,),
+                                       detector=Detector({"main": 0.0})))
+        assert registered_fraction(config) == 0.0
+
+    def test_normalization_cannot_be_claimed(self):
+        # a claimed normalization of these strengths would give a decay probability of 7.93
+        raw = DecayConfig(
+            resonance=ResonancePole(energy=2.0, width=0.2),
+            channels=(Channel(label="a", strength=10.0, form_factor=FormFactor(1.0)),),
+            detector=Detector.ideal(),
+        )
+        for claim in ({"normalized": True}, {"rescale": 2.0}):
+            with pytest.raises(TypeError):
+                DecayConfig(resonance=raw.resonance, channels=raw.channels,
+                            detector=raw.detector, **claim)
+            with pytest.raises(TypeError):
+                replace(raw, **claim)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(raw, _integrals={"a": 1.0})
+        with pytest.raises(AttributeError):
+            raw.normalized = True
+        assert not raw.normalized
+        assert registered_fraction(normalize(raw)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_replaced_config_is_not_normalized(self):
+        # kept normalized, the halved channel would register 3.96 of the decays,
+        # with partial widths summing to 0.79 against the width 0.2
+        config = normalize(DecayConfig(
+            resonance=ResonancePole(energy=2.0, width=0.2),
+            channels=(Channel(label="a", strength=10.0, form_factor=FormFactor(1.0)),),
+            detector=Detector.ideal(),
+        ))
+        halved = replace(config, channels=(
+            Channel(label="a", strength=5.0, form_factor=FormFactor(1.0)),))
+        for copy in (replace(config), halved):
+            assert not copy.normalized
+            for rate in (registered_fraction, born_rate, lambda c: decay_probability(c, 1e3)):
+                with pytest.raises(StateError):
+                    rate(copy)
+        assert total_width_check(normalize(halved)) == pytest.approx(0.2, rel=1e-12)
 
     def test_channel_lookup(self, config3):
         assert config3.channel("b").label == "b"
@@ -175,7 +229,7 @@ class TestWidths:
         real = goldenrule.integrate_lorentzian
         monkeypatch.setattr(goldenrule, "integrate_lorentzian",
                             lambda *args: calls.append(args) or real(*args))
-        config = normalize(replace(config3, normalized=False))
+        config = normalize(replace(config3))
         assert len(calls) == len(config.channels)
         width = total_width_check(config)
         assert len(calls) == len(config.channels)
@@ -188,7 +242,6 @@ class TestWidths:
         ratios = [n / r for n, r in zip(new_strengths, raw_strengths)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
         assert ratios[0] == pytest.approx(ratios[2], rel=1e-14)
-        assert config3.rescale == pytest.approx(ratios[0], rel=1e-14)
 
 
 class TestDecayLaw:

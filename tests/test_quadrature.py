@@ -414,3 +414,8 @@ def test_circle_sum_first_moment_locates_pole():
     m0 = circle_residue(f, a + 0.05, 0.3)
     m1 = circle_residue(lambda z: f(z) * z, a + 0.05, 0.3)
     assert m1 / m0 == pytest.approx(a, abs=1e-12)
+
+
+def test_circle_residue_takes_no_node_count():
+    with pytest.raises(TypeError):
+        circle_residue(lambda z: 1.0 / z, 0.0, 0.3, nodes=16)

@@ -415,6 +415,11 @@ class TestTail:
         with pytest.raises(ConfigurationError):
             tail_exponent(dens, t_range=(10.0, 1.0))
 
+    def test_no_settable_sampling(self, dens):
+        for option in ({"points": 5}, {"residual_tol": 1.0}):
+            with pytest.raises(TypeError):
+                tail_exponent(dens, **option)
+
 
 class TestOnset:
     def test_frozen_onsets_and_monotonicity(self):
@@ -465,3 +470,21 @@ class TestLogSlope:
             fit_log_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
         with pytest.raises(ConfigurationError):
             fit_log_slope([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+        with pytest.raises(TypeError):
+            fit_log_slope([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], residual_tol=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_samples(self, bad):
+        # unchecked, a nan value gives a nan slope and a nan time a LinAlgError
+        ts = np.geomspace(1.0, 100.0, 5)
+        with pytest.raises(ConfigurationError, match="finite"):
+            fit_log_slope(ts, np.where(ts > 10.0, bad, ts**-2.0))
+        with pytest.raises(ConfigurationError, match="finite"):
+            fit_log_slope(np.where(ts > 10.0, bad, ts), ts**-2.0)
+
+    def test_nan_residual_is_no_power_law(self, monkeypatch):
+        # the rms test is written so that a nan residual cannot pass it
+        monkeypatch.setattr(np, "polyfit", lambda x, y, deg: np.array([np.nan, np.nan]))
+        ts = np.geomspace(1.0, 100.0, 5)
+        with pytest.raises(RegimeError, match="nan"):
+            fit_log_slope(ts, ts**-2.0)

@@ -20,10 +20,12 @@ K_n(q, t) = integral_0^inf e^{-i k^2 t} (k - q)^-n dk.  This is the
 Moshinsky "diffraction in time" basis (Moshinsky, Phys. Rev. 88, 625,
 1952; Garcia-Calderon, Mateos and Moshinsky, PRL 74, 337, 1995).
 
-The principal parts come from truncated power-series algebra: around
-k = q + h every factor of G is a binomial series in h, or a power h^s
-where its root is q, so orders add where poles coincide.  They are
-computed once per `principal_parts`, not once per time.
+The principal parts come from running power series: around k = q + h
+every factor of G is a binomial (d + h)^s, or a power h^s where its root
+is q, so orders add where poles coincide.  Each term's series is updated
+in place, one unit of s at a time, and carries a running bound on its
+rounding.  They are computed once per `principal_parts`, not once per
+time, and so are the K_n(q, 0).
 
 Rotating [0, inf) onto the ray k = e^{-i pi/4} s splits K_n into a
 pole term and a ray integral B_n.  The rotation sweeps the sector
@@ -43,11 +45,11 @@ zero, and c_n (-q)^{1-n} / (n-1).
 e^x E1(x) and w(z) are evaluated here, in numpy, each with its own
 bound (`_e1_scaled`, `_faddeeva`): e^x E1(x) by its power series for
 small (|x| + Re x) / 2 and its continued fraction beyond (DLMF 6.6.2,
-6.9.1); w(z) by its
-Taylor series below |z| = 1.5 and the Laplace continued fraction beyond
-(Gautschi, SIAM J. Numer. Anal. 7, 187, 1970; Poppe and Wijers, ACM
-TOMS 16, 38, 1990).  Both fractions are Laguerre fractions in x = -z^2,
-whose approximants are Gauss rules of t^alpha e^-t (`_laguerre`).  A
+6.9.1); w(z) by its Taylor series below |z| = 1.5 and the Laplace
+continued fraction beyond (Gautschi, SIAM J. Numer. Anal. 7, 187, 1970;
+Poppe and Wijers, ACM TOMS 16, 38, 1990).  Both fractions are Laguerre
+fractions in x = -z^2, whose approximants are Gauss rules of
+t^alpha e^-t (`_laguerre`), and the pairing sums both in one pass.  A
 bound is the truncation (a series' remainder, a fraction's gap between
 two depths) plus the rounding, and is checked against 40-digit mpmath on
 the sectors the pairing reaches, |arg x| <= 3 pi / 4 and
@@ -58,7 +60,7 @@ Each value carries a running bound on its rounding error: of every
 series coefficient, of every special-function value and argument, and
 of the final sum, so cancellation between poles shows in the bound.
 Where the bound exceeds 1e-9 of |I| the pairing raises QuadratureError:
-for poles a few 1e-8 apart, whose coefficients cancel, from about 200
+for poles a few 1e-8 apart, whose coefficients cancel, from about 250
 lifetimes of the kaon_pair layout, and for a line of width 1e-6 from
 about one lifetime on, where the rounding of E t alone is 2e-10 per
 lifetime.
@@ -145,97 +147,80 @@ _LIMIT = 1e-9
 _ROT = cmath.exp(0.25j * math.pi)
 
 
-def _coincide(a, b):
-    return abs(a - b) <= _COINCIDE * max(abs(a), abs(b))
+def _times(coef, err, steps):
+    """Series coefficients coef in h and their bounds err, in place, times
+    (d + h)^s for each step (d, 1 / d, |d|, rel, s), one unit of s at a time.
 
-
-def _binomial(q, root, s, length):
-    """(k - root)^s about k = q + h as (valuation, coefficients, errors).
-
-    A root at q gives h^s exactly.  Otherwise the coefficients of
-    (d + h)^s, d = q - root, carry the rounding of both momenta relative
-    to |d|: it moves one pole against another, to which I(t) is as
-    sensitive as 1/|d| where the two sit close.  A root that is -q,
-    conj(q) or -conj(q) moves with q, and d is then exact.
+    The bounds run with the steps (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.3): each carries the
+    bounds it combines, rel times the term d moves and its own rounding.
+    Times (d + h), c_m becomes d c_m + c_{m-1}: sqrt(5) u for the complex
+    product (Brent, Percival and Zimmermann, Math. Comp. 76, 1469, 2007)
+    and u for the sum.  Over (d + h), c_m becomes (c_m - c'_{m-1}) / d, a
+    product with 1 / d: u, sqrt(5) u and 5 u for the reciprocal (`_parts`).
     """
-    if _coincide(q, root):
-        return s, [1.0 + 0j] + [0j] * (length - 1), [0.0] * length
-    d = q - root
-    image = root in (-q, q.conjugate(), -q.conjugate())
-    rel = 0.0 if image else _EPS * (abs(q) + abs(root)) / abs(d)
-    coef = [d**s]
-    for m in range(1, length):
-        coef.append(coef[-1] * (s - m + 1) / (m * d))
-    err = [abs(c) * ((abs(s) + m) * rel + (m + 2) * _EPS) for m, c in enumerate(coef)]
-    return 0, coef, err
-
-
-def _product(a, b, length):
-    """Product of two (valuation, coefficients, errors) series."""
-    va, ca, ea = a
-    vb, cb, eb = b
-    coef, err = [], []
-    for m in range(length):
-        c, e, mag = 0j, 0.0, 0.0
-        for j in range(m + 1):
-            x, y = ca[j], cb[m - j]
-            c += x * y
-            e += abs(x) * eb[m - j] + ea[j] * abs(y)
-            mag += abs(x * y)
-        coef.append(c)
-        err.append(e + (m + 1) * _EPS * mag)
-    return va + vb, coef, err
-
-
-def _roots(hardy):
-    """Each term c / (k^2 - p)^n of a wave as (c, ((r, -n), (-r, -n))),
-    r = sqrt(p)."""
-    out = []
-    for c, p, n in hardy.terms:
-        r = cmath.sqrt(p)
-        out.append((c, ((r, -n), (-r, -n))))
-    return out
-
-
-def _valuation(q, factors):
-    return sum(s for root, s in factors if _coincide(q, root))
-
-
-def _wave_series(q, terms, length):
-    """One wave sum about q, to `length` coefficients past its lowest
-    valuation."""
-    vals = [_valuation(q, f) for _, f in terms]
-    low = min(vals)
-    coef, err = [0j] * length, [0.0] * length
-    for (c, factors), v in zip(terms, vals):
-        shift = v - low
-        if shift >= length:
+    n = len(coef)
+    for d, inv, size, rel, s in steps:
+        if s < 0:
+            grow = rel + 4.2 * _EPS
+            for _ in range(-s):
+                prev = prev_err = 0.0
+                for m in range(n):
+                    prev = (coef[m] - prev) * inv
+                    prev_err = (err[m] + prev_err) / size + grow * abs(prev)
+                    coef[m], err[m] = prev, prev_err
             continue
-        series = (0, [c] + [0j] * (length - shift - 1), [0.0] * (length - shift))
-        for root, s in factors:
-            series = _product(series, _binomial(q, root, s, length - shift), length - shift)
-        for m, (sc, se) in enumerate(zip(series[1], series[2])):
-            coef[m + shift] += sc
-            err[m + shift] += se + _EPS * abs(sc)
-    return low, coef, err
+        grow = rel + 1.2 * _EPS
+        for _ in range(s):
+            for m in range(n - 1, 0, -1):
+                a = d * coef[m]
+                coef[m] = a + coef[m - 1]
+                err[m] = size * err[m] + err[m - 1] + grow * abs(a) + 0.5 * _EPS * abs(coef[m])
+            coef[0] *= d
+            err[0] = size * err[0] + grow * abs(coef[0])
 
 
-def _principal_part(q, dag, wave, blaschke):
-    """Laurent coefficients c_1..c_N of G at q and their error bounds, or
-    None where G is regular at q."""
-    order = -(min(_valuation(q, f) for _, f in dag)
-              + min(_valuation(q, f) for _, f in wave)
-              + _valuation(q, blaschke))
+def _principal_part(dag, wave, blaschke, at, offsets):
+    """Laurent coefficients c_1..c_N of G at a candidate pole q and their
+    bounds, or None where G is regular at q.  Factors name their roots by
+    index into the rows at and offsets of `_parts`.  About k = q + h each
+    factor of G is (d + h)^s or, where its root is q, h^s, so orders add
+    where poles coincide.  The wave sum is built term by term from 2c (2 of
+    2k is exact), times k and the Blaschke factors, and the dual sum term
+    by term from that, each by in-place steps (`_times`)."""
+    # per term: its coefficient, valuation at q and other factors' steps
+    dag, wave, ((_, valuation, steps),) = (
+        [(c, sum(s for i, s in f if at[i]), [(*offsets[i], s) for i, s in f if not at[i]])
+         for c, f in terms] for terms in (dag, wave, [(1.0, blaschke)]))
+    order = -(min(v for _, v, _ in dag) + min(v for _, v, _ in wave) + valuation)
     if order <= 0:
         return None
-    _, coef, err = _binomial(q, 0.0, 1, order)
-    series = (0, [2.0 * c for c in coef], [2.0 * e for e in err])
-    for terms in (dag, wave):
-        series = _product(series, _wave_series(q, terms, order), order)
-    for root, s in blaschke:
-        series = _product(series, _binomial(q, root, s, order), order)
+
+    def wave_sum(terms, base):
+        # sum_j c_j h^(v_j - low) prod (d + h)^s times base: each term
+        # scales a copy of base, c_j is exact, its product rounds by
+        # sqrt(5) u and each addition to the sum by u
+        low = min(v for _, v, _ in terms)
+        total, total_err = [0j] * order, [0.0] * order
+        for c, v, steps in terms:
+            length = order - v + low
+            if length <= 0:
+                continue
+            part = [c * x for x in base[0][:length]]
+            part_err = [abs(c) * e + 1.2 * _EPS * abs(x) for e, x in zip(base[1], part)]
+            _times(part, part_err, steps)
+            if len(terms) == 1:
+                return part, part_err
+            for m in range(length):
+                total[m + v - low] += part[m]
+                total_err[m + v - low] += part_err[m] + 0.5 * _EPS * abs(total[m + v - low])
+        return total, total_err
+
+    coef, err = wave_sum(wave, ([2.0] + [0.0] * (order - 1), [0.0] * order))
+    _times(coef, err, steps)
+    coef, err = wave_sum(dag, (coef, err))
     # c_n is the coefficient of h^-n, at index order - n
-    return np.array(series[1][::-1]), np.array(series[2][::-1])
+    return np.array(coef[::-1]), np.array(err[::-1])
 
 
 def _circle_radius(q):
@@ -272,64 +257,64 @@ class PrincipalParts:
 
     def __post_init__(self):
         # B_1(-q) = [e^x E1(x) - F(q)] / 2 at the same x, so a pole whose
-        # mirror -q is also a pole shares its evaluations, circle included
-        order = dict(zip(self.poles, map(len, self.coefficients)))
-        base, energies, plans, first = [], [], [], {}
+        # mirror -q is also a pole shares its evaluations, circle included;
+        # the points are the poles evaluated, then the nodes of the circles
+        orders = [len(c) for c in self.coefficients]
+        order = dict(zip(self.poles, orders))
+        ends = list(itertools.accumulate(orders, initial=0))
+        base, energies, centres, radii, plans, first = [], [], [], [], [], {}
         for q, e in zip(self.poles, self.energies):
             if -q in first:
-                at, circle = first[-q]
-                plans.append((at, -1.0, circle))
+                plans.append((*first[-q], True))
                 continue
-            at = len(base)
-            base.append(q)
-            energies.append(e)
             circle = None
             if max(order[q], order.get(-q, 0)) > 1:
-                radius = _circle_radius(q)
-                if -q in order:
-                    radius = min(radius, _circle_radius(-q))
-                circle = (slice(len(base), len(base) + _CIRCLE_NODES), radius)
-                nodes = q + radius * _CIRCLE
-                base.extend(nodes)
-                energies.extend(nodes * nodes)
-            first[q] = (at, circle)
-            plans.append((at, 1.0, circle))
-        points = len(base)
+                circle = len(centres)
+                centres.append(q)
+                radii.append(min(_circle_radius(p) for p in (q, -q) if p in order))
+            first[q] = (len(base), circle)
+            plans.append((len(base), circle, False))
+            base.append(q)
+            energies.append(e)
+        nodes = (np.array(centres, dtype=complex)[:, None]
+                 + np.array(radii)[:, None] * _CIRCLE).ravel()
+        points = len(base) + nodes.size
         # B_1(sign q') over the points q' is column at' of the signed halves
         # [B_1(q'), B_1(-q')], at' = at for sign 1 and points + at for -1
-        ends = np.cumsum([0, *map(len, self.coefficients)])
-        first_cols = ends[:-1]
-        higher = np.ones(ends[-1], dtype=bool)
-        higher[first_cols] = False
-        higher = np.flatnonzero(higher)
-        lead = np.array([at + (sign < 0) * points for at, sign, _ in plans], dtype=int)
+        lead = np.array([at + mirror * points for at, _, mirror in plans])
         # B_n = mean over the circle of B_1(q + r u) (r u)^{1-n}, n >= 2;
         # the nodes around -q are the negated nodes around q.  Per column
-        # of `higher`: the weights of the signed halves, the means over the
-        # circle of the errors and of (n + 1) eps |B_1|, and r^{1-n}
-        weights = np.zeros((2 * points, higher.size), dtype=complex)
-        spread = np.zeros((points, higher.size))
-        mag = np.zeros((2 * points, higher.size))
-        scale = np.zeros(higher.size)
-        col = 0
-        for (at, sign, circle), n_max in zip(plans, map(len, self.coefficients)):
-            for n in range(2, n_max + 1):
-                where, radius = circle
-                rows = np.arange(where.start, where.stop) + (sign < 0) * points
-                weights[rows, col] = (sign * _CIRCLE) ** (1 - n) / _CIRCLE_NODES
-                spread[where, col] = 1.0 / _CIRCLE_NODES
-                mag[rows, col] = (n + 1) * _EPS / _CIRCLE_NODES
-                scale[col] = radius ** (1 - n)
-                col += 1
-        # the poles in the rotated sector, whose residue terms K_n adds
-        sector = tuple((q, e, slice(lo, hi)) for q, e, lo, hi
-                       in zip(self.poles, self.energies, ends[:-1], ends[1:])
-                       if q.imag < 0.0 < q.real + q.imag)
+        # n >= 2: the columns of its circle's signed halves and their
+        # weights, the bound's columns, (n + 1) eps / nodes and r^{1-n}
+        higher = [(lo + n - 1, len(base) + circle * _CIRCLE_NODES + mirror * points,
+                   (-1.0) ** mirror, n, radii[circle])
+                  for (_, circle, mirror), lo, n_max in zip(plans, ends, orders)
+                  for n in range(2, n_max + 1)]
+        if higher:
+            cols, rows, sign, n, radius = map(np.array, zip(*higher))
+            rows = rows[:, None] + np.arange(_CIRCLE_NODES)
+            higher = (cols, rows, rows % points,
+                      (sign[:, None] * _CIRCLE) ** (1 - n[:, None]) / _CIRCLE_NODES,
+                      (n + 1) * _EPS / _CIRCLE_NODES, radius ** (1.0 - n))
+        # K_n(q, 0) per column, n = 1 without its log divergence, which
+        # cancels because the c_1 sum to zero
+        neg = -np.repeat(np.array(self.poles, dtype=complex), orders)
+        power = np.array([n for n_max in orders for n in range(1, n_max + 1)])
+        at_zero = np.where(power == 1, -np.log(neg), neg ** (1 - power) / np.maximum(power - 1, 1))
+        # the poles in the rotated sector, whose residue K_1 adds: the
+        # resonance momenta k_i, simple since SMatrixModel refuses
+        # coincident poles; their energies and columns
+        sector = [(e, lo, n) for q, e, lo, n in zip(self.poles, self.energies, ends, orders)
+                  if q.imag < 0.0 < q.real + q.imag]
+        if any(n > 1 for _, _, n in sector):
+            raise ConfigurationError("a pole in the rotated sector must be simple")
+        sector = np.array([e for e, _, _ in sector]), [lo for _, lo, _ in sector]
         for name, value in (
-                ("_points", np.array(base, dtype=complex)),
-                ("_energies", np.array(energies, dtype=complex)),
-                ("_lead", (first_cols, lead, lead % points)),
-                ("_higher", (higher, weights, spread, mag, scale)),
+                ("_points", np.concatenate([np.array(base, dtype=complex), nodes])),
+                ("_energies", np.concatenate([np.array(energies, dtype=complex), nodes * nodes])),
+                ("_lead", (ends[:-1], lead, lead % points)),
+                ("_higher", higher),
+                ("_zero", (at_zero, _EPS * (np.abs(at_zero) * (power + 1) + (power == 1)))),
                 ("_sector", sector),
                 ("_coef", (np.concatenate(self.coefficients), np.concatenate(self.errors)))):
             object.__setattr__(self, name, value)
@@ -349,8 +334,7 @@ class PrincipalParts:
         kerr = np.empty(k.shape)
         later = times > 0.0
         if not later.all():
-            at_zero = [_elementary(q, len(c)) for q, c in zip(self.poles, self.coefficients)]
-            k[~later], kerr[~later] = (np.concatenate(parts) for parts in zip(*at_zero))
+            k[~later], kerr[~later] = self._zero
         if later.any():
             k[later], kerr[later] = self._k_integrals(times[later])
         terms = coef * k
@@ -372,26 +356,31 @@ class PrincipalParts:
         """K_n of every pole at each t > 0 of an array, one row per t, and
         their error bounds, from one evaluation of B_1 at every point."""
         e1x, f, e1_err, f_err = _ray_parts(self._points, self._energies, t)
-        refused = ~np.isfinite(e1_err + f_err).all(axis=-1)
+        half_err = 0.5 * (e1_err + f_err)
+        refused = ~np.isfinite(half_err).all(axis=-1)
         if refused.any():
             raise QuadratureError(
                 f"closed-form pairing at t = {t[np.argmax(refused)]:g} leaves the sectors "
                 "where e^x E1(x) and w(z) are checked")
         halves = 0.5 * np.concatenate([e1x + f, e1x - f], axis=-1)
-        half_err = 0.5 * (e1_err + f_err)
         k = np.empty((t.size, self._coef[0].size), dtype=complex)
         err = np.empty(k.shape)
         cols, lead, lead_err = self._lead
-        k[:, cols] = halves[:, lead]
-        err[:, cols] = half_err[:, lead_err] + _EPS * np.abs(k[:, cols])
-        cols, weights, spread, mag, scale = self._higher
-        if cols.size:
-            k[:, cols] = (halves @ weights) * scale
-            err[:, cols] = (half_err @ spread + np.abs(halves) @ mag) * scale
-        for q, energy, cols in self._sector:
-            res, res_err = _residues(q, energy, t, cols.stop - cols.start)
-            k[:, cols] += res
-            err[:, cols] += res_err
+        k[:, cols] = first = halves[:, lead]
+        err[:, cols] = half_err[:, lead_err] + _EPS * np.abs(first)
+        if self._higher:
+            cols, rows, err_rows, weights, mag, scale = self._higher
+            on = halves[:, rows]
+            k[:, cols] = np.sum(on * weights, axis=-1) * scale
+            err[:, cols] = (np.sum(half_err[:, err_rows], axis=-1) / _CIRCLE_NODES
+                            + np.sum(np.abs(on), axis=-1) * mag) * scale
+        # -2 pi i Res[e^{-i k^2 t} / (k - q)] = -2 pi i e^{-i q^2 t}, which
+        # carries the rounding of the exponent and 6 eps of its own
+        energy, cols = self._sector
+        phase = np.multiply.outer(t, energy)
+        res = -2j * math.pi * np.exp(-1j * phase)
+        k[:, cols] += res
+        err[:, cols] += np.abs(res) * _EPS * (2.0 * np.abs(phase) + 6.0)
         return k, err
 
 
@@ -425,34 +414,41 @@ def principal_parts(psi, state, model):
 def _parts(dag_fn, wave_fn, blaschke, candidates):
     """`PrincipalParts` of G with the factors `blaschke` (none: S = 1) at
     the (momentum, energy) `candidates` and the roots of the wave poles."""
-    dag, wave = _roots(dag_fn), _roots(wave_fn)
-    for hardy in (dag_fn, wave_fn):
-        for _, p, _ in hardy.terms:
-            r = cmath.sqrt(p)
+    waves = [[(c, cmath.sqrt(p), n) for c, p, n in hardy.terms] for hardy in (dag_fn, wave_fn)]
+    for hardy, terms in zip((dag_fn, wave_fn), waves):
+        for (_, p, _), (_, r, _) in zip(hardy.terms, terms):
             candidates += [(r, p), (-r, p)]
-    poles, energies, coefficients, errors = [], [], [], []
-    for q, e in candidates:
-        if any(_coincide(q, seen) for seen in poles):
+    # every root of a factor of G, 2k's first; a candidate is one of them
+    roots = list(dict.fromkeys([0.0, *(r for r, _ in blaschke),
+                                *(x for terms in waves for _, r, _ in terms for x in (r, -r))]))
+    index = {r: i for i, r in enumerate(roots)}
+    dag, wave = ([(c, ((index[r], -n), (index[-r], -n))) for c, r, n in terms]
+                 for terms in waves)
+    factors = [(index[r], s) for r, s in ((0.0, 1), *blaschke)]
+    # per candidate q and root: whether the root is q, its factor then h^s,
+    # and (d, 1 / d, |d|, rel), d = q - root with the rounding of both
+    # momenta rel: a pole moves against another, to which I(t) is as
+    # sensitive as 1/|d|.  A root -q, conj(q) or -conj(q) moves with q, and
+    # d is exact.  numpy's quotient 1 / d (Smith's) is within 5 u.
+    qs, roots = np.array([q for q, _ in candidates])[:, None], np.array(roots)
+    d = qs - roots
+    gap, size_q, size_r = np.abs(d), np.abs(qs), np.abs(roots)
+    at = (gap <= _COINCIDE * np.maximum(size_q, size_r)).tolist()
+    image = (roots == -qs) | (roots == qs.conjugate()) | (roots == -qs.conjugate())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(image, 0.0, _EPS * (size_q + size_r) / gap)
+        inv = 1.0 / d
+    offsets = [list(zip(*row)) for row in zip(*(a.tolist() for a in (d, inv, gap, rel)))]
+    found, taken = [], []
+    for (q, e), row in zip(candidates, zip(at, offsets)):
+        if any(row[0][i] for i in taken):
             continue
-        part = _principal_part(q, dag, wave, blaschke)
+        part = _principal_part(dag, wave, factors, *row)
         if part is not None:
-            poles.append(q)
-            energies.append(e)
-            coefficients.append(part[0])
-            errors.append(part[1])
-    return PrincipalParts(poles=tuple(poles), energies=tuple(energies),
-                          coefficients=tuple(coefficients), errors=tuple(errors))
-
-
-def _elementary(q, order):
-    """K_n(q, 0) for n = 1..order, the first without its log divergence,
-    which cancels because the c_1 sum to zero."""
-    n = np.arange(1, order + 1)
-    k = np.empty(order, dtype=complex)
-    k[0] = -cmath.log(-q)
-    k[1:] = (-q) ** (1 - n[1:]) / (n[1:] - 1)
-    err = _EPS * (np.abs(k) * (n + 1) + (n == 1))
-    return k, err
+            taken.append(index[q])
+            found.append((q, e, *part))
+    poles, energies, coefficients, errors = zip(*found) if found else ((),) * 4
+    return PrincipalParts(poles, energies, coefficients, errors)
 
 
 def _e1_scaled(x):
@@ -471,28 +467,8 @@ def _e1_scaled(x):
     tests/special_reference.json checks it, and at x = 0 or infinite x
     the value is nan and the bound infinite.
     """
-    x = np.asarray(x, dtype=complex)
-    value, error = np.full(x.shape, np.nan + 0j), np.full(x.shape, np.inf)
-    size = np.abs(x)
-    c2 = 0.5 * (size + x.real)
-    valid = (np.abs(np.angle(x)) <= _E1_SECTOR) & (size > 0.0) & (size < np.inf)
-    series = valid & (c2 < _E1_SERIES)
-    near = valid & ~series
-    if series.any():
-        value[series], error[series] = _e1_series(x[series])
-    if near.any():
-        value[near], error[near] = _e1_fraction(x[near], c2[near])
-    # x f'(x) = x f - 1 for f = e^x E1(x); refused points keep no bound
-    with np.errstate(invalid="ignore"):
-        error += 4.0 * _EPS * np.abs(x * value - 1.0)
-    error[~valid] = np.inf
-    return value, error
-
-
-def _e1_fraction(x, c2):
-    """e^x E1(x) from its continued fraction, and its bound."""
-    value, gap, rel = _laguerre(x, c2, 0)
-    return value, gap + np.abs(value) * rel
+    x, c2, finish = _e1_split(x)
+    return finish(*_laguerre(x, c2, 0))
 
 
 def _faddeeva(z):
@@ -511,29 +487,56 @@ def _faddeeva(z):
     pi / 8 <= arg z <= 7 pi / 8, where tests/special_reference.json checks
     it, the value is nan and the bound infinite; z = 0 is taken.
     """
+    x, c2, finish = _w_split(z, 0)
+    return finish(*_laguerre(x, c2, 1))
+
+
+def _e1_split(x):
+    """e^x E1(x) by its series, the points x and c2 left to the fraction,
+    and the function of its (value, gap, rel) there that returns all."""
+    x = np.asarray(x, dtype=complex)
+    value, error = np.full(x.shape, np.nan + 0j), np.full(x.shape, np.inf)
+    size = np.abs(x)
+    c2 = 0.5 * (size + x.real)
+    valid = (np.abs(np.arctan2(x.imag, x.real)) <= _E1_SECTOR) & (size > 0.0) & (size < np.inf)
+    series = valid & (c2 < _E1_SERIES)
+    near = valid & ~series
+
+    def fill(where, v, e):
+        # x f'(x) = x f - 1 for f = e^x E1(x) carries the caller's rounding of x
+        value[where], error[where] = v, e + 4.0 * _EPS * np.abs(x[where] * v - 1.0)
+        return value, error
+
+    if series.any():
+        fill(series, *_e1_series(x[series]))
+    return x[near], c2[near], lambda v, gap, rel: fill(near, v, gap + np.abs(v) * rel)
+
+
+def _w_split(z, caller):
+    """w(z) as `_e1_split`, x = -z^2 and c2 = Im(z)^2; -iz / sqrt(pi)
+    rounds by eps, its product by 1.2 eps, and (1 + caller) eps |z w'|
+    covers z^2 and `caller` roundings of z."""
     z = np.asarray(z, dtype=complex)
     value, error = np.full(z.shape, np.nan + 0j), np.full(z.shape, np.inf)
-    arg = np.angle(z)
+    arg = np.arctan2(z.imag, z.real)
     inside = ((arg >= _W_SECTOR[0]) & (arg <= _W_SECTOR[1])) | (z == 0.0)
     valid = inside & (np.abs(z) <= _W_REACH)
     taylor = valid & (np.abs(z) < _W_TAYLOR)
     near = valid & ~taylor
-    for where, evaluate in ((taylor, _w_taylor), (near, _w_fraction)):
-        if where.any():
-            value[where], error[where] = evaluate(z[where])
-    # z w'(z) = 2z (i / sqrt(pi) - z w); refused points keep no bound
-    with np.errstate(invalid="ignore", over="ignore"):
-        error += _EPS * np.abs(2.0 * z * (1j / math.sqrt(math.pi) - z * value))
-    error[~valid] = np.inf
-    return value, error
+    zn = z[near]
+    top = -1j / math.sqrt(math.pi) * zn
 
+    def fill(where, v, e):
+        # z w'(z) = 2z (i / sqrt(pi) - z w)
+        zs = z[where]
+        dw = np.abs(2.0 * zs * (1j / math.sqrt(math.pi) - zs * v))
+        value[where], error[where] = v, e + (1.0 + caller) * _EPS * dw
+        return value, error
 
-def _w_fraction(z):
-    """w(z) from its continued fraction, and its bound: the factor
-    -iz / sqrt(pi) rounds by eps and the product by 1.2 eps."""
-    fraction, gap, rel = _laguerre(-(z * z), z.imag**2, 1)
-    top = -1j / math.sqrt(math.pi) * z
-    return top * fraction, np.abs(top) * (gap + np.abs(fraction) * (rel + 2.2 * _EPS))
+    if taylor.any():
+        fill(taylor, *_w_taylor(z[taylor]))
+    return -(zn * zn), zn.imag**2, lambda v, gap, rel: fill(
+        near, top * v, np.abs(top) * (gap + np.abs(v) * (rel + 2.2 * _EPS)))
 
 
 def _e1_rest(r, terms):
@@ -612,30 +615,29 @@ def _horner(coef, y):
 
 @functools.lru_cache(maxsize=None)
 def _rules():
-    """Per alpha (0, then -1/2), for each shallow depth of _LEVELS but the
-    last: (nodes, weights, size), the Gauss rules of t^alpha e^-t at the
-    next depth (size nodes) and at the shallow one, end to end, each in
-    falling node order; and, as one array over the shallow depths, the
-    next depth's sum_j (j + 1) w_j with the nodes in rising order."""
+    """_LEVELS as an array; per shallow depth but the last, (table, size):
+    the Gauss rules of t^alpha e^-t at the next depth (size nodes) and the
+    shallow one, end to end, in falling node order, indexed (alpha 0 or
+    -1/2, node, node or weight); and per (alpha, shallow depth) the next
+    depth's sum_j (j + 1) w_j with the nodes in rising order."""
     with (resources.files(__package__) / "laguerre_rules.npy").open("rb") as stream:
         table = np.load(stream)
     ends = np.cumsum((0, *_LEVELS))
-    out = []
-    for family in table:
-        rules = [family[lo:hi][::-1] for lo, hi in zip(ends[:-1], ends[1:])]
-        pairs = [(np.concatenate([deep[:, 0], shallow[:, 0]]).astype(complex),
-                  np.concatenate([deep[:, 1], shallow[:, 1]]).astype(complex), len(deep))
-                 for shallow, deep in zip(rules[:-1], rules[1:])]
-        spread = np.array([np.arange(len(deep), 0, -1) @ deep[:, 1] for deep in rules[1:]])
-        out.append((pairs, spread))
-    return out
+    rules = [[family[lo:hi][::-1] for lo, hi in zip(ends[:-1], ends[1:])] for family in table]
+    pairs = [(np.array([np.concatenate([family[level + 1], family[level]]) for family in rules],
+                       dtype=complex), size)
+             for level, size in enumerate(_LEVELS[1:])]
+    spread = np.array([[np.arange(len(deep), 0, -1) @ deep[:, 1] for deep in family[1:]]
+                       for family in rules])
+    return np.array(_LEVELS), pairs, spread
 
 
 def _laguerre(x, c2, family):
     """The Laguerre continued fraction 1 / (x + 1 + alpha - 1 (1 + alpha) /
     (x + 3 + alpha - 2 (2 + alpha) / (x + 5 + alpha - ...))) at the points x,
-    alpha = 0 (family 0) or -1/2 (family 1), with c2 = (Re sqrt x)^2: its
-    value, its truncation gap and its relative rounding bound.
+    alpha = 0 (family 0) or -1/2 (family 1), for all points or as an int
+    array one per point, with c2 = (Re sqrt x)^2: its value, its truncation
+    gap and its relative rounding bound.
 
     The n-th approximant is the n-point Gauss rule of the probability
     measure t^alpha e^-t dt / Gamma(1 + alpha) applied to 1 / (x + t), so
@@ -645,7 +647,7 @@ def _laguerre(x, c2, family):
     the first of _LEVELS past 100 / c2 + 8, its value is taken at the next
     one, and the gap between the two is the truncation estimate.  Both
     depths depend on the point alone, so it gets the same bits alone as in
-    any array.
+    any array, and points of both families at one depth share a table.
 
     Each term rounds by at most 10.4 u of w_j / |x + t_j|, u = eps / 2:
     the sum x + t_j and the complex quotient (7 u), and the rule's node
@@ -658,64 +660,40 @@ def _laguerre(x, c2, family):
     (-inf, 0], since sum_j w_j = 1.  The shallow sum, only an estimate,
     runs on after the value and is read as a difference.
     """
-    rules, spread = _rules()[family]
-    shallow = np.minimum(np.searchsorted(_LEVELS, 100.0 / c2 + 8.0), len(rules) - 1)
+    levels, rules, spread = _rules()
+    shallow = np.minimum(np.searchsorted(levels, 100.0 / c2 + 8.0), len(rules) - 1)
+    family = np.asarray(family)
     value, rest = np.empty(x.shape, dtype=complex), np.empty(x.shape, dtype=complex)
     for level in sorted(set(shallow.tolist())):
-        nodes, weights, size = rules[level]
+        table, size = rules[level]
         group = np.flatnonzero(shallow == level)
         # tables of at most _TERMS terms keep a long time grid's memory flat
-        step = max(1, _TERMS // nodes.size)
+        step = max(1, _TERMS // table.shape[1])
         for lo in range(0, group.size, step):
             at = group[lo:lo + step]
-            sums = np.cumsum(weights / (x[at][:, None] + nodes), axis=1)
+            rule = table[family[at] if family.ndim else family]
+            sums = np.cumsum(rule[..., 1] / (x[at][:, None] + rule[..., 0]), axis=1)
             value[at], rest[at] = sums[:, size - 1], sums[:, -1]
     distance = np.where(x.real >= 0.0, np.abs(x), np.abs(x.imag))
-    rel = 0.5 * _EPS * (10.4 + spread[shallow]) / (distance * np.abs(value))
+    rel = 0.5 * _EPS * (10.4 + spread[family, shallow]) / (distance * np.abs(value))
     return value, np.abs(2.0 * value - rest), rel
 
 
 def _ray_parts(q, energy, t):
     """e^x E1(x) and F(q) at the momenta q (an array) with q^2 = energy,
     x = -i energy t, for each t of an array (one row per t), and their
-    bounds; B_1(+-q) = [e^x E1(x) +- F(q)] / 2."""
+    bounds; B_1(+-q) = [e^x E1(x) +- F(q)] / 2.  The continued fractions
+    of both functions run in one `_laguerre` pass."""
     z = np.multiply.outer(_ROT * np.sqrt(t), q)
     upper = z.imag > 0.0
     zu = np.where(upper, z, -z)
-    e1x, e1_err = _e1_scaled(np.multiply.outer(-1j * t, energy))
-    w, w_err = _faddeeva(zu)
-    f = np.where(upper, 1j, -1j) * math.pi * w
-    # z w'(z) = 2 z (i / sqrt(pi) - z w) carries the rounding of z
-    dw = np.abs(2.0 * zu * (1j / math.sqrt(math.pi) - zu * w))
-    return e1x, f, e1_err, math.pi * (w_err + 4.0 * _EPS * dw)
-
-
-def _residues(q, energy, t, order):
-    """The residue terms -2 pi i Res[e^{-i k^2 t} (k - q)^-n], n = 1..order,
-    of a pole q in the rotated sector at each t > 0 of an array (one row
-    per t), and their bounds: -2 pi i e^{-i q^2 t} times the coefficient
-    of h^{n-1} in e^{a h} e^{b h^2}, a = -2 i q t, b = -i t."""
-    a, b = -2j * q * t, -1j * t
-    lin = np.ones((t.size, order), dtype=complex)
-    quad = np.zeros(lin.shape, dtype=complex)
-    quad[:, 0] = 1.0
-    for m in range(1, order):
-        lin[:, m] = lin[:, m - 1] * a / m
-        if 2 * m < order:
-            quad[:, 2 * m] = quad[:, 2 * (m - 1)] * b / m
-    front = (-2j * math.pi * np.exp(-1j * energy * t))[:, None]
-    mag = np.abs(front) * _convolve(np.abs(lin), np.abs(quad))
-    return (front * _convolve(lin, quad),
-            mag * _EPS * (2.0 * np.abs(energy * t)[:, None] + 2.0 * np.arange(1, order + 1) + 4.0))
-
-
-def _convolve(a, b):
-    """The Cauchy product of rows of series coefficients, truncated to
-    their length."""
-    out = np.zeros_like(a)
-    for m in range(a.shape[-1]):
-        out[:, m] = np.sum(a[:, :m + 1] * b[:, m::-1], axis=-1)
-    return out
+    # z carries four roundings of its own
+    (x, c2, e1), (y, d2, w) = _e1_split(np.multiply.outer(-1j * t, energy)), _w_split(zu, 4)
+    value, gap, rel = _laguerre(np.concatenate([x, y]), np.concatenate([c2, d2]),
+                                np.repeat([0, 1], [x.size, y.size]))
+    e1x, e1_err = e1(value[:x.size], gap[:x.size], rel[:x.size])
+    wz, w_err = w(value[x.size:], gap[x.size:], rel[x.size:])
+    return e1x, np.where(upper, 1j, -1j) * math.pi * wz, e1_err, math.pi * w_err
 
 
 def survival_amplitude(density, t):

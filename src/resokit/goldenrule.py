@@ -156,6 +156,17 @@ class Detector:
     def labels(self):
         return tuple(self._eff)
 
+    def _key(self):
+        # constants by value, callables by identity
+        return frozenset((label, ("callable", id(eff)) if callable(eff) else float(eff))
+                         for label, eff in self._eff.items())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Detector) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class DecayConfig:
@@ -164,8 +175,9 @@ class DecayConfig:
     resonance: ResonancePole
     channels: tuple
     detector: Detector
-    # the channel integrals by label, set by `normalize` alone
+    # the channel integrals by label, plain and weighted, set by `normalize`
     _integrals: dict = field(default=None, init=False, repr=False, compare=False)
+    _weighted: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.channels:
@@ -209,7 +221,8 @@ def normalize(config):
 
     The channel integrals do not depend on the strengths, so the
     returned configuration keeps them for `partial_width` and
-    `total_width_check`; `dataclasses.replace` drops them again.
+    `total_width_check`, and their detector-weighted counterparts for
+    the rates; `dataclasses.replace` drops both again.
     """
     integrals = {c.label: _channel_integral(config, c) for c in config.channels}
     total = sum(
@@ -221,7 +234,13 @@ def normalize(config):
     factor = config.resonance.width / total
     channels = tuple(replace(c, strength=c.strength * factor) for c in config.channels)
     out = replace(config, channels=channels)
+    # an unlisted channel registers with efficiency 1: its weighted
+    # integral is the plain one, bit for bit
+    weighted = {c.label: _channel_integral(config, c, weighted=True)
+                if c.label in config.detector.labels() else integrals[c.label]
+                for c in config.channels}
     object.__setattr__(out, "_integrals", integrals)
+    object.__setattr__(out, "_weighted", weighted)
     return out
 
 
@@ -243,7 +262,7 @@ def registered_fraction(config):
     g = config.resonance.width
     acc = 0.0
     for c in config.channels:
-        acc += 2.0 * math.pi * c.strength * _channel_integral(config, c, weighted=True)
+        acc += 2.0 * math.pi * c.strength * config._weighted[c.label]
     return acc / g
 
 
@@ -275,7 +294,7 @@ def partial_rate(config, label, t):
     c = config.channel(label)
     g = config.resonance.width
     return (
-        2.0 * math.pi * c.strength * _channel_integral(config, c, weighted=True)
+        2.0 * math.pi * c.strength * config._weighted[label]
         * math.exp(-g * t)
     )
 

@@ -236,9 +236,9 @@ def _parse(params, kind):
     return p
 
 
-# one runner per kind; each returns (columns, rows, achieved)
+# one runner per kind: (parameters, seed) -> (columns, rows, achieved)
 
-def _run_single_resonance(p, rng):
+def _run_single_resonance(p, seed):
     ket = GamowKet(p.pole)
     ts = np.linspace(0.0, p.lifetimes / p.width, p.points)
     rows = []
@@ -283,7 +283,7 @@ def _expansion_check(p, lifetimes):
     return exp, checks, float(rel.max()), float(errors.max())
 
 
-def _run_two_resonance(p, rng):
+def _run_two_resonance(p, seed):
     exp, _, worst, bound = _expansion_check(p, _SPOTS)
     ts = np.linspace(0.0, p.lifetimes / _narrowest(p), p.points)
     trunc, bg, _ = exp.grid(ts)
@@ -302,7 +302,7 @@ def _run_two_resonance(p, rng):
     return cols, rows, achieved
 
 
-def _run_contour_check(p, rng):
+def _run_contour_check(p, seed):
     _, checks, worst, bound = _expansion_check(p, p.times_lifetimes)
     # the direct_* columns hold the closed-form pairing
     rows = [[t, exact.real, exact.imag, rec.real, rec.imag, rel]
@@ -313,7 +313,7 @@ def _run_contour_check(p, rng):
     return cols, rows, achieved
 
 
-def _run_golden_rule_sweep(p, rng):
+def _run_golden_rule_sweep(p, seed):
     rows = []
     gaps = []
     channel = gr.Channel(label="main", strength=p.strength,
@@ -336,7 +336,7 @@ def _run_golden_rule_sweep(p, rng):
     return cols, rows, achieved
 
 
-def _run_khalfin(p, rng):
+def _run_khalfin(p, seed):
     density = sv.SpectralDensity.truncated_lorentzian(p.pole)
     rows = []
     for t in np.geomspace(p.lifetimes_min / p.width, p.lifetimes_max / p.width, p.points):
@@ -356,10 +356,11 @@ def _run_khalfin(p, rng):
     return cols, rows, achieved
 
 
-def _run_histories_demo(p, rng):
+def _run_histories_demo(p, seed):
     """Each case draws rho, H and two projector families and times t1 < t2.
     Cases run in stacked blocks of _HISTORY_BLOCK: one check of each input
-    stack and one eigendecomposition of H per block."""
+    stack and one eigendecomposition of H per block.  No other kind draws."""
+    rng = np.random.default_rng(seed)
     n = p.levels
     rows = []
     for first in range(0, p.cases, _HISTORY_BLOCK):
@@ -509,12 +510,11 @@ def run_scenario(config, out_dir, fmt="csv", seed=None, bless=False):
         json.dumps(effective, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
-    rng = np.random.default_rng(seed)
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            columns, rows, achieved = _RUNNERS[kind](values, rng)
+            columns, rows, achieved = _RUNNERS[kind](values, seed)
         except Warning as exc:
             raise DomainError(f"{type(exc).__name__}: {exc}; nothing written") from exc
     elapsed = time.perf_counter() - started

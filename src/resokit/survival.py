@@ -270,6 +270,8 @@ def fit_log_slope(times, values):
     if not np.all(np.isfinite(ts) & np.isfinite(vs) & (ts > 0.0) & (vs > 0.0)):
         raise ConfigurationError("log-log fit needs finite, positive times and values")
     x = np.log(ts)
+    if not x.max() > x.min():
+        raise ConfigurationError("log-log fit needs at least two distinct times")
     y = np.log(vs)
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)

@@ -24,9 +24,16 @@ digits and stored to 20.  It shares no code with resokit.exact:
 Cases: the kaon_pair and contour_check built-ins at 0, 1 and 3 lifetimes
 of the narrowest pole, and a sweep of one pole at E_R = 1 over widths,
 wave orders, times and three states (the default pole 1.5 + 0.8i, a pole
-exactly at conj(z), and one 1e-7 from it); last, the kaon_pair layout at
+exactly at conj(z), and one 1e-7 from it); then the kaon_pair layout at
 120 lifetimes (case sweep_kaon_late), which the closed form certifies
-only since its special functions report their own bounds.
+only since its special functions report their own bounds, and at 200
+(case sweep_kaon_200), certified since its Laurent coefficients carry
+running bounds.  Last, rows without a time (cases laurent_*) hold the
+poles and Laurent coefficients c_1..c_N themselves, for the kaon_pair
+and contour_check layouts and for a state pole at conj(z), whose wave
+roots fall on the mirror pole -conj(k) and the zero conj(k).  A state
+pole one rounding from conj(z) has the same row: resokit takes roots
+that close as one pole.
 
 `--check` recomputes every row and fails if any differs from the
 committed JSON, down to the last stored digit.
@@ -43,10 +50,11 @@ DUAL = 2.0 - 1.0j   # the registration-side pole; its conjugate is in the wave
 STATE = 1.5 + 0.8j
 
 
-def pairing(resonances, dual_pole, state_pole, order, t):
-    """I(t) for psi = 1/(E - dual_pole)^order (UPPER), phi =
+def laurent(resonances, dual_pole, state_pole, order):
+    """The poles q of G for psi = 1/(E - dual_pole)^order (UPPER), phi =
     1/(E - state_pole)^order (LOWER) and the Blaschke product of the
-    resonances (energy, width)."""
+    resonances (energy, width), each with its Laurent coefficients
+    c_1..c_N."""
     waves = [(mp.conj(mp.mpc(dual_pole)), order), (mp.mpc(state_pole), order)]
     ks = [mp.sqrt(mp.mpc(e, -mp.mpf(g) / 2)) for e, g in resonances]
     # linear factors (k - a)^s of G besides 2k
@@ -60,8 +68,7 @@ def pairing(resonances, dual_pole, state_pole, order, t):
     for a, s in factors:
         if s < 0 and all(abs(a - b) > mp.mpf(10) ** -40 for b in poles):
             poles.append(a)
-    t = mp.mpf(t)
-    total = mp.mpc(0)
+    out = []
     for q in poles:
         near = [abs(a - q) < mp.mpf(10) ** -40 for a, _ in factors]
         order_q = -sum(s for (a, s), hit in zip(factors, near) if hit)
@@ -76,8 +83,16 @@ def pairing(resonances, dual_pole, state_pole, order, t):
             return out
 
         taylor = mp.taylor(regular, q, order_q - 1)
-        coef = [taylor[order_q - n] for n in range(1, order_q + 1)]
-        total += sum(c * k for c, k in zip(coef, k_integrals(q, t, order_q)))
+        out.append((q, [taylor[order_q - n] for n in range(1, order_q + 1)]))
+    return out
+
+
+def pairing(resonances, dual_pole, state_pole, order, t):
+    """I(t) for the layout of `laurent`."""
+    t = mp.mpf(t)
+    total = mp.mpc(0)
+    for q, coef in laurent(resonances, dual_pole, state_pole, order):
+        total += sum(c * k for c, k in zip(coef, k_integrals(q, t, len(coef))))
     return total
 
 
@@ -120,7 +135,26 @@ def cases():
                                 "t": n / width})
     out.append({"case": "sweep_kaon_late", "resonances": kaon, "dual": DUAL, "state": STATE,
                 "order": 2, "t": 120.0 / 0.2})
+    out.append({"case": "sweep_kaon_200", "resonances": kaon, "dual": DUAL, "state": STATE,
+                "order": 2, "t": 200.0 / 0.2})
     return out
+
+
+def laurent_cases():
+    """Layouts whose Laurent coefficients are frozen: the built-ins, and a
+    state pole at conj(z), where a wave pole falls on the mirror -conj(k)
+    of the S-matrix pole and the other root on its zero conj(k)."""
+    kaon = [(1.0, 0.2), (1.6, 0.35)]
+    return [{"case": "laurent_kaon_pair", "resonances": kaon, "dual": DUAL, "state": STATE,
+             "order": 2},
+            {"case": "laurent_contour_check", "resonances": kaon[:1], "dual": DUAL,
+             "state": STATE, "order": 2},
+            {"case": "laurent_at_mirror", "resonances": kaon[:1], "dual": DUAL,
+             "state": complex(1.0, 0.1), "order": 2}]
+
+
+def _digits(z):
+    return [mp.nstr(z.real, 20), mp.nstr(z.imag, 20)]
 
 
 def main(argv):
@@ -132,7 +166,13 @@ def main(argv):
                         case["t"])
         rows.append({**case, "dual": [case["dual"].real, case["dual"].imag],
                      "state": [case["state"].real, case["state"].imag],
-                     "value": [mp.nstr(value.real, 20), mp.nstr(value.imag, 20)]})
+                     "value": _digits(value)})
+    for case in laurent_cases():
+        parts = laurent(case["resonances"], case["dual"], case["state"], case["order"])
+        rows.append({**case, "dual": [case["dual"].real, case["dual"].imag],
+                     "state": [case["state"].real, case["state"].imag],
+                     "poles": [{"q": _digits(q), "coefficients": [_digits(c) for c in coef]}
+                               for q, coef in parts]})
     lines = [json.dumps(row) for row in rows]
     path = Path(__file__).with_name("exact_reference.json")
     if argv:

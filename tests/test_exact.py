@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +19,50 @@ from resokit.surface import BackgroundPhase, ResonancePole, SMatrixModel
 # 60-digit mpmath values written by tests/exact_reference.py, which shares
 # no code with resokit.exact
 REFERENCE = json.loads(Path(__file__).with_name("exact_reference.json").read_text())
-BUILTINS = [row for row in REFERENCE if not row["case"].startswith("sweep_")]
-SWEEP = [row for row in REFERENCE if row["case"].startswith("sweep_")]
+PAIRINGS = [row for row in REFERENCE if "t" in row]
+BUILTINS = [row for row in PAIRINGS if not row["case"].startswith("sweep_")]
+SWEEP = [row for row in PAIRINGS if row["case"].startswith("sweep_")]
+LAURENT = [row for row in REFERENCE if "poles" in row]
+
+
+def _layout(row, state=None):
+    n = row["order"]
+    psi = HardyFunction(terms=((1.0, complex(*row["dual"]), n),), half_plane=HalfPlane.UPPER)
+    state = PreparedState(HardyFunction(terms=((1.0, state or complex(*row["state"]), n),),
+                                        half_plane=HalfPlane.LOWER))
+    model = SMatrixModel(poles=tuple(ResonancePole(e, w) for e, w in row["resonances"]))
+    return psi, state, model
 
 
 def _case(row):
-    n = row["order"]
-    psi = HardyFunction(terms=((1.0, complex(*row["dual"]), n),), half_plane=HalfPlane.UPPER)
-    state = PreparedState(HardyFunction(terms=((1.0, complex(*row["state"]), n),),
-                                        half_plane=HalfPlane.LOWER))
-    model = SMatrixModel(poles=tuple(ResonancePole(e, w) for e, w in row["resonances"]))
-    return psi, state, model, complex(float(row["value"][0]), float(row["value"][1]))
+    return *_layout(row), complex(float(row["value"][0]), float(row["value"][1]))
+
+
+def _exact(digits):
+    return tuple(Fraction(d) for d in digits)
+
+
+@pytest.mark.parametrize("row, nudge", [(row, 0) for row in LAURENT]
+                         + [(row, 1) for row in LAURENT if row["case"] == "laurent_at_mirror"],
+                         ids=lambda v: v["case"] if isinstance(v, dict) else ["", "one_ulp"][v])
+def test_coefficient_bounds_cover_mpmath(row, nudge):
+    # every Laurent coefficient lies within its reported bound of the
+    # 60-digit value, the gap taken exactly; a state pole one rounding
+    # from conj(z) merges with the mirror pole and has the conj(z) row
+    state = complex(*row["state"])
+    for _ in range(nudge):
+        state = complex(state.real, np.nextafter(state.imag, 1.0))
+    parts = exact.principal_parts(*_layout(row, state)[:3])
+    assert len(parts.poles) == len(row["poles"])
+    for q, coefficients, errors in zip(parts.poles, parts.coefficients, parts.errors):
+        ref = min(row["poles"], key=lambda p: abs(q - complex(*map(float, p["q"]))))
+        assert abs(q - complex(*map(float, ref["q"]))) <= 1e-15 * abs(q)
+        assert len(coefficients) == len(ref["coefficients"])
+        for c, e, digits in zip(coefficients, errors, ref["coefficients"]):
+            re, im = _exact(digits)
+            gap2 = (Fraction(c.real) - re) ** 2 + (Fraction(c.imag) - im) ** 2
+            assert gap2 <= Fraction(e) ** 2, (q, c, e)
+            assert e <= 1e-13 * abs(c)
 
 
 @pytest.mark.parametrize("row", BUILTINS, ids=lambda r: f"{r['case']}-t{r['t']:g}")
@@ -85,6 +119,25 @@ def test_orders_add_where_poles_coincide(psi, pole, nudge):
     zero = next(n for q, n in orders.items() if abs(q - k.conjugate()) < 1e-12)
     assert (mirror, zero) == (3, 1)
     assert abs(sum(c[0] for c in parts.coefficients)) < 1e-12
+
+
+def test_wave_sums_are_linear(pole, wide_pole):
+    # terms of different orders at the same pole and at two poles: the sum
+    # path adds shifted series, and the pairing is linear in both waves
+    model = SMatrixModel(poles=(pole, wide_pole))
+    duals = [((1.0, 2.0 - 1.0j, 2),), ((0.5 - 0.3j, 2.0 - 1.0j, 1),), ((0.7j, 1.2 - 0.6j, 1),)]
+    states = [((1.0, 1.5 + 0.8j, 2),), ((-0.4, 1.5 + 0.8j, 3),), ((0.9, 0.8 + 0.5j, 1),)]
+    wave = lambda terms, plane: HardyFunction(terms=terms, half_plane=plane)
+    for t in (0.0, 5.0, 15.0):
+        whole = exact.principal_parts(wave(sum(duals, ()), HalfPlane.UPPER),
+                                      PreparedState(wave(sum(states, ()), HalfPlane.LOWER)),
+                                      model).pairing(t)
+        parts = [exact.principal_parts(wave(d, HalfPlane.UPPER),
+                                       PreparedState(wave(w, HalfPlane.LOWER)), model).pairing(t)
+                 for d in duals for w in states]
+        gap = abs(whole.value - sum(p.value for p in parts))
+        assert gap <= whole.error + sum(p.error for p in parts)
+        assert gap <= 1e-13 * abs(whole.value)
 
 
 def test_no_residue_code_shared_with_expand(psi, state, model_two, monkeypatch):

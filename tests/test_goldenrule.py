@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,24 @@ class TestDetector:
         d = Detector.ideal()
         assert np.all(d.efficiency("anything", np.array([1.0, 2.0])) == 1.0)
 
+    def test_equal_efficiencies_are_equal(self, resonance):
+        # constants compare by value, callables by identity; before, every
+        # two detectors differed, and with them two equal configurations
+        def eff(e):
+            return 0.5 * np.ones_like(np.asarray(e, dtype=float))
+
+        assert Detector({"a": 0.5}) == Detector({"a": 0.5})
+        assert hash(Detector({"a": 0.5, "b": 1})) == hash(Detector({"b": 1.0, "a": 0.5}))
+        assert Detector({"a": 0.5}) != Detector({"a": 0.25})
+        assert Detector({"a": 0.5}) != Detector({"b": 0.5})
+        assert Detector({"a": eff}) == Detector({"a": eff})
+        assert Detector({"a": eff}) != Detector({"a": lambda e: eff(e)})
+        assert Detector({"a": eff}) != Detector({"a": 0.5})
+        assert Detector.ideal() == Detector() and Detector() != {"a": 0.5}
+        channels = (Channel(label="a", strength=1.0, form_factor=FormFactor(1.0)),)
+        one, two = (DecayConfig(resonance, channels, Detector({"a": 0.5})) for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+
 
 class TestConfigValidation:
     def test_needs_channels(self, resonance):
@@ -235,6 +254,31 @@ class TestWidths:
         assert len(calls) == len(config.channels)
         assert width == total_width_check(replace(config))
         assert len(calls) == 2 * len(config.channels)
+
+    def test_rates_reuse_the_weighted_integrals(self, resonance, monkeypatch):
+        # normalize integrates each listed channel once more, weighted; the
+        # rates then integrate nothing, where 50 probabilities made 100
+        # calls on two channels
+        calls = []
+        real = goldenrule.integrate_lorentzian
+        monkeypatch.setattr(goldenrule, "integrate_lorentzian",
+                            lambda *args: calls.append(args) or real(*args))
+        channels = (Channel(label="seen", strength=1.0, form_factor=FormFactor(1.0)),
+                    Channel(label="dim", strength=0.4, form_factor=FormFactor(2.0)))
+        raw = DecayConfig(resonance=resonance, channels=channels,
+                          detector=Detector({"dim": lambda e: 0.5 + 0.0 * np.asarray(e)}))
+        config = normalize(raw)
+        assert len(calls) == 3
+        rates = [decay_probability(config, 0.1 * i) for i in range(50)]
+        rates += [decay_rate(config, 1.0), partial_rate(config, "dim", 1.0)]
+        assert len(calls) == 3
+        fraction = registered_fraction(config)
+        for label in ("seen", "dim"):
+            c = config.channel(label)
+            assert partial_rate(config, label, 0.0) == (
+                2.0 * math.pi * c.strength * goldenrule._channel_integral(config, c, weighted=True))
+        assert rates[49] == fraction * (1.0 - math.exp(-resonance.width * (0.1 * 49)))
+        assert replace(config)._weighted is None
 
     def test_normalize_preserves_branching_ratios(self, resonance, config3):
         raw_strengths = (1.0, 0.6, 2.2)

@@ -4,8 +4,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -833,3 +837,25 @@ def test_fuzzed_configs_run_or_fail_cleanly(kind, data):
             assert len(lines) == 1, lines
             assert set(json.loads(lines[0])) == {"error"}
             assert written == ["config.json"]
+
+
+def test_only_histories_demo_loads_numpy_random(tmp_path):
+    # a fresh interpreter, since this one has loaded numpy.random: the
+    # CLI, a kaon_pair and a khalfin run build no generator, and only the
+    # kind that draws, histories_demo, loads numpy.random
+    script = textwrap.dedent("""
+        import json, sys
+
+        import resokit.cli
+        loaded = ["numpy.random" in sys.modules]
+        for name in ("kaon_pair", "khalfin", "histories_demo"):
+            code = resokit.cli.main(["run", name, "--out-dir", sys.argv[1]])
+            loaded.append([code, "numpy.random" in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(scenarios.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, True]]

@@ -482,6 +482,14 @@ class TestLogSlope:
         with pytest.raises(ConfigurationError, match="finite"):
             fit_log_slope(np.where(ts > 10.0, bad, ts), ts**-2.0)
 
+    @pytest.mark.parametrize("times", [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0, 3.0]])
+    def test_refuses_times_without_spread(self, times):
+        # all-equal times fit any slope with zero residual; unchecked, the
+        # degenerate fit passed as a power law with slope 0.0
+        with pytest.raises(ConfigurationError, match="distinct times"):
+            fit_log_slope(times, np.ones(len(times)))
+        assert fit_log_slope([2.0, 2.0, 4.0], [1.0, 1.0, 0.25]) == pytest.approx(-2.0)
+
     def test_nan_residual_is_no_power_law(self, monkeypatch):
         # the rms test is written so that a nan residual cannot pass it
         monkeypatch.setattr(np, "polyfit", lambda x, y, deg: np.array([np.nan, np.nan]))

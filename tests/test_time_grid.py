@@ -188,16 +188,24 @@ class TestPairingGrid:
                       <= 1e-12 * np.abs(pairing.value))
 
     def test_gate_names_the_time(self, parts_two):
-        # at 200 lifetimes of the narrow pole the bound passes 1e-9 of |I|
-        with pytest.raises(QuadratureError, match="at t = 1000 "):
-            parts_two.pairing(np.array([5.0, 1000.0, 5.0]))
-        with pytest.raises(QuadratureError, match="at t = 1000 "):
-            parts_two.pairing(1000.0)
+        # at 300 lifetimes of the narrow pole the bound passes 1e-9 of |I|
+        with pytest.raises(QuadratureError, match="at t = 1500 "):
+            parts_two.pairing(np.array([5.0, 1500.0, 5.0]))
+        with pytest.raises(QuadratureError, match="at t = 1500 "):
+            parts_two.pairing(1500.0)
 
     def test_certifies_at_120_lifetimes(self, parts_two):
         # the rounding of E t, not a flat charge on e^x E1 and w, now sets
         # the horizon; the 60-digit value comes from tests/exact_reference.py
         row = next(row for row in EXACT_REFERENCE if row["case"] == "sweep_kaon_late")
+        reference = complex(float(row["value"][0]), float(row["value"][1]))
+        result = parts_two.pairing(row["t"])
+        assert abs(result.value - reference) <= result.error <= 1e-9 * abs(result.value)
+
+    def test_certifies_at_200_lifetimes(self, parts_two):
+        # the coefficients' running bounds moved the horizon past 200
+        # lifetimes; the 60-digit value comes from tests/exact_reference.py
+        row = next(row for row in EXACT_REFERENCE if row["case"] == "sweep_kaon_200")
         reference = complex(float(row["value"][0]), float(row["value"][1]))
         result = parts_two.pairing(row["t"])
         assert abs(result.value - reference) <= result.error <= 1e-9 * abs(result.value)
@@ -214,13 +222,13 @@ class TestPairingGrid:
             parts_two.pairing(times)
 
 
-def test_contour_check_at_200_lifetimes_still_refuses(tmp_path, capsys):
+def test_contour_check_at_300_lifetimes_still_refuses(tmp_path, capsys):
     # the closed form's rounding bound, not its value, sets this horizon
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kind": "contour_check", "parameters": {
         "resonances": [{"energy": 1.0, "width": 0.2}, {"energy": 1.6, "width": 0.35}],
-        "times_lifetimes": [1.0, 200.0]}}))
+        "times_lifetimes": [1.0, 300.0]}}))
     assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "QuadratureError" and "t = 1000 " in error["message"]
+    assert error["type"] == "QuadratureError" and "t = 1500 " in error["message"]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]

@@ -42,9 +42,10 @@ def _exact(digits):
     return tuple(Fraction(d) for d in digits)
 
 
-@pytest.mark.parametrize("row, nudge", [(row, 0) for row in LAURENT]
-                         + [(row, 1) for row in LAURENT if row["case"] == "laurent_at_mirror"],
-                         ids=lambda v: v["case"] if isinstance(v, dict) else ["", "one_ulp"][v])
+@pytest.mark.parametrize(
+    "row, nudge",
+    [(row, 0) for row in LAURENT] + [(row, 1) for row in LAURENT if "mirror" in row["case"]],
+    ids=lambda v: v["case"] if isinstance(v, dict) else ["exact", "one_ulp"][v])
 def test_coefficient_bounds_cover_mpmath(row, nudge):
     # every Laurent coefficient lies within its reported bound of the
     # 60-digit value, the gap taken exactly; a state pole one rounding

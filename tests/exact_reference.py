@@ -68,7 +68,7 @@ def laurent(resonances, dual_pole, state_pole, order):
     for a, s in factors:
         if s < 0 and all(abs(a - b) > mp.mpf(10) ** -40 for b in poles):
             poles.append(a)
-    out = []
+    parts = []
     for q in poles:
         near = [abs(a - q) < mp.mpf(10) ** -40 for a, _ in factors]
         order_q = -sum(s for (a, s), hit in zip(factors, near) if hit)
@@ -83,8 +83,8 @@ def laurent(resonances, dual_pole, state_pole, order):
             return out
 
         taylor = mp.taylor(regular, q, order_q - 1)
-        out.append((q, [taylor[order_q - n] for n in range(1, order_q + 1)]))
-    return out
+        parts.append((q, [taylor[order_q - n] for n in range(1, order_q + 1)]))
+    return parts
 
 
 def pairing(resonances, dual_pole, state_pole, order, t):

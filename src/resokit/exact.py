@@ -739,9 +739,9 @@ def _survival_leg(density, t):
         return 0j, 0.0
     z0 = complex(1.0, -0.5 * gamma)
     tau = res.energy * t
-    # N c^power E_R^(alpha + 1 - 2 power) / gamma^(2 power - 1)
-    scale = (density.norm / gamma ** (power - 1) * res.energy ** (alpha + 1 - power)
-             / (2.0 * math.pi) ** power)
+    # N c^power E_R^(alpha + 1 - 2 power) / gamma^(2 power - 1), from the
+    # density's scale N E_R^(alpha + 1 - power)
+    scale = density._scale / gamma ** (power - 1) / (2.0 * math.pi) ** power
     # between the two regimes both sums run and the smaller bound wins
     x = abs(z0) * tau
     sums = []

@@ -19,8 +19,9 @@ for forward times, which is how the semigroup arrow enters.
 The background is evaluated on its steepest-descent line u = e^{i pi/4} s
 (momentum k = e^{-i pi/4} s), where the oscillation e^{i u^2 t} becomes
 the decay e^{-s^2 t}: one `quadrature.LaplaceTable` with rates s^2,
-shared by all t >= 0 and gated against 1e-12 of the larger of the
-background and the pole sum at each t.
+shared by all t >= 0, gated against 1e-12 of the larger of the
+background and the pole sum at each t, and sampling the line integrand
+only on the blocks of the rule that some time's gate reaches.
 
 Pole coefficients are residues taken in closed form: S has simple
 poles whose residues `blaschke_residue` gives exactly, and the wave
@@ -30,7 +31,7 @@ phi(z_i) Res S(k_i) with z_i = k_i^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ from .hardy import HalfPlane, HardyFunction
 # names, and its self-tests require every wrapped site to resolve
 from .hardy import paley_wiener_check  # noqa: F401
 from .quadrature import circle_residue, complex_quad  # noqa: F401
-from .quadrature import LaplaceTable, laplace_sample
+from .quadrature import LaplaceTable
 from .quadrature import decaying_fourier_quad, oscillatory_quad
 from .surface import SMatrixModel, blaschke_residue
 
@@ -157,22 +158,32 @@ def smatrix_pairing_direct(psi, state, model, t):
 
 
 _FORWARD = "expansion terms evolve forward only"
+# u = e^{i pi/4} s turns e^{i u^2 t} into e^{-s^2 t}
+_LINE = np.exp(0.25j * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
 class ResonanceExpansion:
-    """Pole coefficients plus a frozen background table: the line
-    integrand v_j at the Laplace rule's nodes s_j on the steepest-descent
-    line, bg(t) = sum_j w_j v_j e^{-s_j^2 t} with the rule's weights w_j."""
+    """Pole coefficients plus a background table: bg(t) = sum_j w_j v(s_j)
+    e^{-s_j^2 t} of the line integrand v, built from psi, state and model,
+    over the Laplace rule's nodes s_j and weights w_j."""
 
     model: SMatrixModel
     psi: HardyFunction
     state: PreparedState
     coefficients: tuple
-    ray_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", LaplaceTable(self.ray_values, power=2))
+        dag, wave = _require_pair(self.psi, self.state)
+        model = self.model
+
+        def line(s):
+            # e^{i pi/4} g(e^{i pi/4} s): the ray integrand times du/ds
+            u = _LINE * s
+            e = -(u * u)
+            return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
+
+        object.__setattr__(self, "_table", LaplaceTable(line, power=2))
         # -i z_i per pole, so the pole terms are e^{t (-i z_i)} b_i
         object.__setattr__(self, "_rates", -1j * np.array(self.eigenvalues, dtype=complex))
         object.__setattr__(self, "_coefficients", np.array(self.coefficients, dtype=complex))
@@ -239,18 +250,14 @@ class ResonanceExpansion:
         return TruncationError.from_parts(pole, background)
 
 
-# u = e^{i pi/4} s turns e^{i u^2 t} into e^{-s^2 t}
-_LINE = np.exp(0.25j * np.pi)
-
-
 def expand(psi, state, model):
     """Deform the evolved pairing into pole terms plus a background table.
 
     Each pole coefficient is -2 pi i times the residue of the momentum
     integrand 2k conj(psi)(k^2) S(k) phi(k^2) at the pole k_i, in closed
     form from `blaschke_residue`.  The background table samples the
-    integrand on the steepest-descent line k = e^{-i pi/4} s at the nodes
-    of the Laplace rule, the same for every model and horizon.  Rotating
+    integrand on the steepest-descent line k = e^{-i pi/4} s at nodes of
+    the Laplace rule, the same for every model and horizon.  Rotating
     the exit ray k = -i u onto that line sweeps the momentum sector
     arg k in (-pi/2, -pi/4), which holds no singularity of the
     integrand: `ResonancePole` requires width < 2 energy, so every
@@ -278,15 +285,7 @@ def expand(psi, state, model):
                 * wave(pole.position) * blaschke_residue(model, i))
         for i, pole in enumerate(model.poles)
     )
-
-    def line_values(s):
-        # e^{i pi/4} g(e^{i pi/4} s): the ray integrand times du/ds
-        u = _LINE * s
-        e = -(u * u)
-        return _LINE * dag(e) * model.eval(-1j * u) * wave(e) * (-2.0 * u)
-
-    return ResonanceExpansion(model=model, psi=psi, state=state, coefficients=coeffs,
-                              ray_values=laplace_sample(line_values))
+    return ResonanceExpansion(model=model, psi=psi, state=state, coefficients=coeffs)
 
 
 def background_profile(expansion, times):

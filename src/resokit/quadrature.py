@@ -3,10 +3,11 @@
 `integrate_lorentzian` integrates a smooth factor against a unit
 Lorentzian on (0, inf) or the whole line by a nested tanh-sinh ladder on
 the Lorentzian's angle, at a cost that does not grow as the line narrows.
-`LaplaceTable` freezes a Laplace integral of f(x) e^{-x^p t} on one
-nested exp-sinh rule and sums it at any t >= 0, or over a whole grid of
-t at once, under one error bound and one gate; the survival leg, the
-expansion background and `integrate_exp_sinh` share it.  The scipy
+`LaplaceTable` sums a Laplace integral of f(x) e^{-x^p t} on one nested
+exp-sinh rule at any t >= 0, or over a whole grid of t at once, under
+one error bound and one gate, and samples f only on the blocks of the
+rule that the gate reads; the survival leg, the expansion background
+and `integrate_exp_sinh` share it.  The scipy
 wrappers adapt ``scipy.integrate.quad`` to complex integrands on
 intervals and half lines and to oscillatory Fourier weights; their
 real/imaginary (and cos/sin) passes share one evaluation of the
@@ -29,7 +30,6 @@ from .errors import ConfigurationError, DomainError, QuadratureError
 __all__ = [
     "exp_sinh_rule",
     "LAPLACE_RULE",
-    "laplace_sample",
     "LaplaceTable",
     "integrate_exp_sinh",
     "integrate_lorentzian",
@@ -76,68 +76,80 @@ _GRID_CHUNK = 256
 _CIRCLE_NODES = 256
 
 
-def laplace_sample(f):
-    """f at the nodes of `LAPLACE_RULE`, one evaluation per node; entries
-    past the double range come out inf or nan, which `LaplaceTable` refuses."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(f(LAPLACE_RULE[0]))
-    return v.astype(np.result_type(v, 1.0), copy=False)
-
-
 @cache
 def _summation_order(power):
-    """Node indices by block (the stride-16 rule, its stride-32 subset first,
-    then each halving's new nodes), the splits, -x_j^power in that order,
-    x_0^power, x_N^power and Gamma(1 + 1/power)."""
-    x = LAPLACE_RULE[0]
+    """(x_j, w_j, -x_j^power) per block (the stride-16 rule, its stride-32
+    subset first, then each halving's new nodes: 297, 296, 592, 1,184 and
+    2,368 nodes), x_0^power, x_N^power and Gamma(1 + 1/power)."""
+    x, w = LAPLACE_RULE
     blocks = [np.r_[0:x.size:32, 16:x.size:32]] + [np.arange(h, x.size, 2 * h)
                                                    for h in (8, 4, 2, 1)]
-    order = np.concatenate(blocks)
-    splits = np.cumsum([a.size for a in blocks])[:-1]
     rates = x**power
-    return (order, splits, np.split(-rates[order], splits), float(rates[0]), float(rates[-1]),
+    return ([(x[b], w[b], -rates[b]) for b in blocks], float(rates[0]), float(rates[-1]),
             math.gamma(1.0 + 1.0 / power))
+
+
+_STRIDES = (16, 8, 4, 2, 1)
+# x_N's place in the first block, where it closes the stride-32 subset
+_LAST = (LAPLACE_RULE[0].size - 1) // 32
 
 
 @dataclass(frozen=True, eq=False)
 class LaplaceTable:
     """F(t) = integral_0^inf f(x) e^{-x^power t} dx on `LAPLACE_RULE`.
 
-    values holds f(x_j) at the rule's nodes x_j (`laplace_sample`), so
-    F(t) = sum_j w_j f(x_j) e^{-x_j^power t} for a positive integer power.
-    Construction refuses non-finite entries with DomainError.  With |f|
-    at most |f(x_0)| below x_0 and decaying at least as x^-2 past x_N,
-    the rule clips at most
+    F(t) = sum_j w_j f(x_j) e^{-x_j^power t} over the rule's nodes x_j for
+    a positive integer power; f maps an array of nodes to one value each.
+    Construction samples f on the stride-16 block (297 nodes, both ends
+    among them), and each finer block is sampled when a gate first reaches
+    it, then kept: no node is evaluated twice, and none the gate does not
+    read.  Non-finite terms w_j f(x_j), or ends, raise DomainError when
+    sampled.  With |f| at most |f(x_0)| below x_0 and decaying at least as
+    x^-2 past x_N, the rule clips at most
     x_0 |f(x_0)| min(1, G (x_0^power t)^(-1/power)) + x_N |f(x_N)| e^{-x_N^power t},
     G = Gamma(1 + 1/power).
     """
 
-    values: np.ndarray
+    f: object
     power: int = 1
 
     def __post_init__(self):
-        x, w = LAPLACE_RULE
-        if self.values.shape != x.shape:
-            raise ConfigurationError(f"need one value per Laplace node, got {self.values.shape}")
+        object.__setattr__(self, "_rows", {})
+        self._block(0)
+
+    def _block(self, block):
+        """The read-only rows Re, Im and |.| of w_j f(x_j) on a block,
+        sampling f there if no evaluation reached it yet.  The first block
+        adds Re and Im over its stride-32 subset, so one product sums both,
+        and keeps the ends' masses."""
+        if block in self._rows:
+            return self._rows[block]
+        nodes, weights, _ = _summation_order(self.power)[0][block]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = w * self.values
-            ends = x[[0, -1]] * np.abs(self.values[[0, -1]])
-        if not (np.isfinite(terms).all() and np.isfinite(ends).all()):
-            raise DomainError("Laplace table entries overflow the double range")
-        self.values.setflags(write=False)
-        # per block, the rows Re, Im and |.| of w_j f(x_j); the first block
-        # adds Re and Im over its stride-32 subset, so one product sums both
-        order, splits, *_ = _summation_order(self.power)
-        terms = terms[order]
-        rows = np.split(np.array([terms.real, terms.imag, np.abs(terms)]), splits, axis=1)
-        coarse = rows[0][:2] * (np.arange(splits[0]) < (x.size + 31) // 32)
-        object.__setattr__(self, "_rows", [np.vstack([rows[0], coarse])] + rows[1:])
-        object.__setattr__(self, "_ends", (float(ends[0]), float(ends[1])))
+            values = np.asarray(self.f(nodes))
+            values = values.astype(np.result_type(values, 1.0), copy=False)
+            if values.shape != nodes.shape:
+                raise ConfigurationError(
+                    f"need one value per Laplace node, got {values.shape} for {nodes.shape}")
+            terms = weights * values
+            ends = nodes[[0, _LAST]] * np.abs(values[[0, _LAST]])  # read in the first block
+        if not (np.isfinite(terms).all() and (block or np.isfinite(ends).all())):
+            raise DomainError(f"Laplace table entries at stride {_STRIDES[block]} "
+                              "overflow the double range")
+        rows = [terms.real, terms.imag, np.abs(terms)]
+        if not block:
+            rows += [r * (np.arange(values.size) <= _LAST) for r in rows[:2]]
+            object.__setattr__(self, "_ends", (float(ends[0]), float(ends[1])))
+            object.__setattr__(self, "_real", values.dtype.kind == "f")
+        rows = np.array(rows)
+        rows.setflags(write=False)
+        # a table shared by threads may sample a block twice; the rows agree
+        return self._rows.setdefault(block, rows)
 
     def _refuse(self, t, error, clipped, bound):
         """The refusal of an unresolved t: DomainError where x_N^power t
         overflows, QuadratureError otherwise."""
-        rate_n = _summation_order(self.power)[4]
+        rate_n = _summation_order(self.power)[2]
         failure = DomainError if math.isinf(rate_n * t) else QuadratureError
         past = "; x_N^power t is past the double range" if failure is DomainError else ""
         return failure(f"Laplace table unresolved at t = {t:g}: error {error:.3e} with "
@@ -151,30 +163,29 @@ class LaplaceTable:
         once.  The error is the gap to the stride before, the clipped mass,
         eps times the terms' moduli summed, for rounding the gap misses
         when two strides round alike, and eps |F(t)| for the rounding of
-        the final sum.  It must be within
-        LAPLACE_TOL of max(floor, |F(t)|); past the full rule, raises
-        QuadratureError, or DomainError where x_N^power t overflows.
-        `grid` does the same over an array of t.
+        the final sum.  It must be within LAPLACE_TOL of max(floor, |F(t)|);
+        past the full rule, raises QuadratureError, or DomainError where
+        x_N^power t overflows.  `grid` does the same over an array of t.
         """
         t = float(t)
-        _, _, neg_rates, rate_0, rate_n, gamma = _summation_order(self.power)
+        blocks, rate_0, rate_n, gamma = _summation_order(self.power)
         overflow = math.isinf(rate_n * t)
         head, tail = self._ends
         clipped = (head / max(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
                    + tail * math.exp(-rate_n * t))
         # e^{-r t} = 0 where r t overflows (errstate costs 1 us, so only then)
         with np.errstate(over="ignore") if overflow else nullcontext():
-            acc = self._rows[0] @ np.exp(neg_rates[0] * t)
+            acc = self._rows[0] @ np.exp(blocks[0][2] * t)
             coarse, acc = 32 * complex(acc[3], acc[4]), acc[:3]
-            for stride, r, rows in zip((16, 8, 4, 2, 1), neg_rates, self._rows):
-                if stride < 16:  # add the nodes new at this stride
+            for block, stride in enumerate(_STRIDES):
+                if block:  # add the nodes new at this stride
                     coarse = 2 * stride * complex(acc[0], acc[1])
-                    acc = acc + rows @ np.exp(r * t)
+                    acc = acc + self._block(block) @ np.exp(blocks[block][2] * t)
                 value = stride * complex(acc[0], acc[1])
                 error = float(abs(value - coarse) + clipped + _EPS * (stride * acc[2] + abs(value)))
                 bound = LAPLACE_TOL * max(floor, abs(value))
                 if error <= bound:
-                    return (value.real if self.values.dtype.kind == "f" else value), error
+                    return (value.real if self._real else value), error
         raise self._refuse(t, error, clipped, bound)
 
     def grid(self, times, floors=0.0):
@@ -196,23 +207,23 @@ class LaplaceTable:
         for start in range(0, times.size, _GRID_CHUNK):
             part = slice(start, start + _GRID_CHUNK)
             self._grid_chunk(times[part], floors[part], values[part], errors[part])
-        return (values.real if self.values.dtype.kind == "f" else values), errors
+        return (values.real if self._real else values), errors
 
     def _grid_chunk(self, t, floor, values, errors):
         """Fill values and errors at the times t (one chunk)."""
-        _, _, neg_rates, rate_0, rate_n, gamma = _summation_order(self.power)
+        blocks, rate_0, rate_n, gamma = _summation_order(self.power)
         head, tail = self._ends
         pending = np.arange(t.size)  # indices not yet resolved
         # e^{-r t} = 0 where r t overflows
         with np.errstate(over="ignore"):
             clipped = (head / np.maximum(1.0, (rate_0 * t) ** (1.0 / self.power) / gamma)
                        + tail * np.exp(-rate_n * t))
-            acc = self._rows[0] @ _decay(neg_rates[0], t)
+            acc = self._rows[0] @ _decay(blocks[0][2], t)
             coarse, acc = 32 * (acc[3] + 1j * acc[4]), acc[:3]
-            for stride, r, rows in zip((16, 8, 4, 2, 1), neg_rates, self._rows):
-                if stride < 16:  # add the nodes new at this stride
+            for block, stride in enumerate(_STRIDES):
+                if block:  # add the nodes new at this stride
                     coarse = 2 * stride * (acc[0] + 1j * acc[1])
-                    acc = acc + rows @ _decay(r, t)
+                    acc = acc + self._block(block) @ _decay(blocks[block][2], t)
                 value = stride * (acc[0] + 1j * acc[1])
                 error = np.abs(value - coarse) + clipped + _EPS * (stride * acc[2] + np.abs(value))
                 bound = LAPLACE_TOL * np.maximum(floor, np.abs(value))
@@ -236,7 +247,7 @@ def _decay(neg_rates, t):
 
 def integrate_exp_sinh(f):
     """Integral of f over (0, inf) and its error: a `LaplaceTable` at t = 0."""
-    return LaplaceTable(laplace_sample(f))(0.0)
+    return LaplaceTable(f)(0.0)
 
 
 # The Lorentzian ladder: tanh-sinh in t on [-3.5, 3.5], level k of step

@@ -20,6 +20,7 @@ import time
 import warnings
 from collections import namedtuple
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -262,11 +263,12 @@ def _run_single_resonance(p, seed):
     return cols, rows, achieved
 
 
-def _expansion_check(p, lifetimes):
+def _expansion_check(p, lifetimes, times=()):
     """Expand p.state over p.resonances and compare it with the closed-form
     pairing at each of the lifetimes.  Returns (expansion, checks, worst,
-    bound): one (t, exact, reconstructed, relative error) per time, the
-    largest relative error and the largest error bound of the closed form.
+    bound, grid): one (t, exact, reconstructed, relative error) per check
+    time, the largest relative error and error bound of the closed form,
+    and the (pole sums, backgrounds) at the times, in the checks' pass.
     """
     model = SMatrixModel(poles=p.resonances)
     state = xp.PreparedState(p.state)
@@ -275,18 +277,18 @@ def _expansion_check(p, lifetimes):
     ts = np.array(lifetimes) / _narrowest(p)
     # the expansion goes first: past the double range its pole sum or
     # Laplace table raises the documented DomainError
-    poles, backgrounds, _ = exp.grid(ts)
-    rec = poles + backgrounds
+    poles, backgrounds, _ = exp.grid(np.concatenate([ts, times]))
+    n = ts.size
+    rec = poles[:n] + backgrounds[:n]
     exact, errors = parts.pairing(ts)
     rel = np.abs(exact - rec) / np.abs(exact)
     checks = list(zip(ts.tolist(), exact.tolist(), rec.tolist(), rel.tolist()))
-    return exp, checks, float(rel.max()), float(errors.max())
+    return exp, checks, float(rel.max()), float(errors.max()), (poles[n:], backgrounds[n:])
 
 
 def _run_two_resonance(p, seed):
-    exp, _, worst, bound = _expansion_check(p, _SPOTS)
     ts = np.linspace(0.0, p.lifetimes / _narrowest(p), p.points)
-    trunc, bg, _ = exp.grid(ts)
+    exp, _, worst, bound, (trunc, bg) = _expansion_check(p, _SPOTS, ts)
     err = xp.TruncationError.from_parts(trunc, bg)
     rows = np.column_stack([ts, np.abs(trunc + bg), np.abs(trunc), err.error,
                             np.abs(bg)]).tolist()
@@ -303,7 +305,7 @@ def _run_two_resonance(p, seed):
 
 
 def _run_contour_check(p, seed):
-    _, checks, worst, bound = _expansion_check(p, p.times_lifetimes)
+    _, checks, worst, bound, _ = _expansion_check(p, p.times_lifetimes)
     # the direct_* columns hold the closed-form pairing
     rows = [[t, exact.real, exact.imag, rec.real, rec.imag, rel]
             for t, exact, rec, rel in checks]
@@ -459,38 +461,29 @@ def _is_plain(value):
 
 def _require_finite(rows, achieved):
     """Refuse to report nan or inf; nothing has been written yet."""
-    for i, row in enumerate(rows):
-        if not all(math.isfinite(v) for v in row):
-            raise DomainError(f"row {i} has a non-finite cell {row}; nothing written")
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        i, row = next((i, row) for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
+        raise DomainError(f"row {i} has a non-finite cell {row}; nothing written")
     for key, value in achieved.items():
         if not math.isfinite(value):
             raise DomainError(f"achieved {key} is {value}; nothing written")
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path, columns, rows, fmt):
     if fmt == "csv":
-        # numbers and the column names never need CSV quoting, so plain
-        # joins give the file; it is built once and written once
-        lines = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in rows]
+        # runners give Python floats and ints, whose repr is the shortest
+        # round-trip text; nothing needs CSV quoting, so joins give the file
+        lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
-        payload = {"columns": columns, "rows": rows}
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n")
 
 
 def _write_manifest(path, manifest):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def run_scenario(config, out_dir, fmt="csv", seed=None, bless=False):

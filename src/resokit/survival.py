@@ -14,10 +14,12 @@ The amplitude closes the contour onto the negative imaginary energy
 axis: the fourth-quadrant pole of rho contributes
 -2 pi i Res[rho(z) e^{-i z t}], taken in closed form since rho is
 rational, and the leg along the axis becomes a real Laplace-type
-endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.  Every
-density holds one `quadrature.LaplaceTable` of E_R rho(-i E_R x), built
-at construction, summed at E_R t and gated against 1e-12 of the larger
-of the pole term and the leg; the normalization is the same rotation at t = 0.
+endpoint integral -i integral_0^inf rho(-i u) e^{-u t} du.  Both are
+taken in units of E_R, so no factor forms a power of E_R and any E_R
+works: every density holds one `quadrature.LaplaceTable` of the leg's
+integrand in x = u / E_R, summed at E_R t and gated against 1e-12 of the
+larger of the pole term and the leg, and the scale N E_R^(1 + alpha -
+power) outside it; the normalization is the same rotation at t = 0.
 `exact.survival_amplitude` sums the leg in closed form and serves as the
 cross-check; `survival_amplitude` returns its value for method="direct".
 """
@@ -32,7 +34,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DomainError,
     NormalizationError,
     RegimeError,
     WindowError,
@@ -43,7 +44,7 @@ from .errors import (
 # resobench/tracer.py wraps benchmark spans at these names, and its
 # self-tests require every wrapped site to resolve
 from .quadrature import circle_residue, complex_quad, decaying_fourier_quad  # noqa: F401
-from .quadrature import LAPLACE_RULE, LaplaceTable, laplace_sample
+from .quadrature import LaplaceTable
 from .surface import ResonancePole
 
 __all__ = [
@@ -64,9 +65,12 @@ class SpectralDensity:
     base(z) = (Gamma / 2 pi) / ((z - E_R)^2 + Gamma^2 / 4) is the
     Lorentzian of the attached resonance.  alpha >= 0 sets the threshold
     power, power in {1, 2} the pole order; the density must have finite
-    mass, so alpha < 2 power - 1.  The normalization constant is fixed
-    at construction so integral_0^inf rho dE = 1.  The Laplace table of
-    E_R rho(-i E_R x) / N stays outside the dataclass fields.
+    mass, so alpha < 2 power - 1.  N is fixed at construction so
+    integral_0^inf rho dE = 1, and an N outside the normal double range
+    raises NormalizationError.  In units of E_R the leg is
+    N E_R^(1 + alpha - power) times the Laplace integral of
+    rho(-i E_R x) E_R^(power - alpha) / N; that scale and table stay
+    outside the dataclass fields.
     """
 
     resonance: ResonancePole
@@ -91,19 +95,20 @@ class SpectralDensity:
         object.__setattr__(self, "resonance", resonance)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "norm", 1.0)
         energy = resonance.energy
-        try:  # the first nan appears where 2 E_R^2 x_N overflows
-            table = LaplaceTable(laplace_sample(lambda x: energy * self._shape(-1j * (energy * x))))
-        except DomainError:
-            limit = math.sqrt(np.finfo(float).max / (2.0 * LAPLACE_RULE[0][-1]))
-            raise ConfigurationError(f"energy {energy:g} overflows the endpoint table; "
-                                     f"energies up to about {limit:.2g} are supported") from None
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", LaplaceTable(
+            lambda x: _rational(-1j * x, 1.0, resonance.width / energy, alpha, power)))
+        object.__setattr__(self, "_scale", 1.0)
         raw = sum(_pole_and_leg(self, 0.0)).real
         if not raw > 0.0:
             raise NormalizationError("density does not integrate to a positive mass")
-        object.__setattr__(self, "norm", 1.0 / raw)
+        scale = 1.0 / raw
+        # N = scale / E_R^(1 + alpha - power), an exponent of -1, 0 or 1
+        norm = {1: scale / energy, 0: scale, -1: scale * energy}[1 + alpha - power]
+        if not np.finfo(float).tiny <= norm <= np.finfo(float).max:
+            raise NormalizationError(f"norm {norm:g} is outside the normal double range")
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "norm", norm)
 
     @classmethod
     def truncated_lorentzian(cls, resonance):
@@ -115,16 +120,10 @@ class SpectralDensity:
         """E times the squared Lorentzian: vanishing at threshold."""
         return cls(resonance, alpha=1, power=2)
 
-    def _shape(self, z):
-        z = np.asarray(z, dtype=complex)
-        g = self.resonance.width
-        base = (g / (2.0 * math.pi)) / ((z - self.resonance.energy) ** 2 + 0.25 * g * g)
-        # z**0 and base**1 cost a complex power per node and change nothing
-        shape = base if self.power == 1 else base**self.power
-        return shape if self.alpha == 0 else z**self.alpha * shape
-
     def __call__(self, z):
-        out = self.norm * self._shape(z)
+        res = self.resonance
+        out = self.norm * _rational(np.asarray(z, dtype=complex), res.energy, res.width,
+                                    self.alpha, self.power)
         return out if out.shape else complex(out)
 
     @property
@@ -146,28 +145,40 @@ def _integer(name, value):
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _rational(z, energy, width, alpha, power):
+    """z^alpha base(z)^power at complex z, base the Lorentzian of (energy, width)."""
+    base = (width / (2.0 * math.pi)) / ((z - energy) ** 2 + 0.25 * width * width)
+    # z**0 and base**1 cost a complex power per node and change nothing
+    shape = base if power == 1 else base**power
+    return shape if alpha == 0 else z**alpha * shape
+
+
 def _pole_residues(density, t):
     """-2 pi i residue of rho(z) e^{-i z t} at the fourth-quadrant pole.
 
     With base(z) = c / ((z - z0)(z - conj(z0))), c = Gamma / 2 pi and
     d = z0 - conj(z0), the simple pole gives N z0^alpha e^{-i z0 t} c / d;
     the double pole differentiates z^alpha e^{-i z t} / (z - conj(z0))^2,
-    which multiplies that by (c / d) (alpha / z0 - i t - 2 / d).
+    which multiplies that by (c / d) (alpha / z0 - i t - 2 / d).  The
+    powers of E_R are taken out, z0 = E_R w0, and go into the density's
+    scale N E_R^(1 + alpha - power), so no factor passes the double range.
     """
+    res = density.resonance
     z0 = density.pole
     d = z0 - z0.conjugate()
-    ratio = density.resonance.width / (2.0 * math.pi) / d
-    res = density.norm * z0**density.alpha * np.exp(-1j * z0 * t) * ratio
+    ratio = res.width / (2.0 * math.pi) / d
+    w0 = complex(1.0, -0.5 * (res.width / res.energy))
+    out = density._scale * w0**density.alpha * np.exp(-1j * z0 * t) * ratio
     if density.power == 2:
-        res *= ratio * (density.alpha / z0 - 1j * t - 2.0 / d)
-    return -2j * np.pi * res
+        out *= ratio * (density.alpha / w0 - 1j * (res.energy * t) - 2.0 * res.energy / d)
+    return -2j * np.pi * out
 
 
 def _pole_and_leg(density, t):
     """Pole term and endpoint leg of the contour rotated at time t."""
     pole = _pole_residues(density, t)
-    leg = density._table(density.resonance.energy * t, floor=abs(pole) / density.norm)[0]
-    return pole, -1j * density.norm * leg
+    leg = density._table(density.resonance.energy * t, floor=abs(pole) / density._scale)[0]
+    return pole, -1j * density._scale * leg
 
 
 def survival_amplitude(density, t, method="rotation"):

@@ -55,3 +55,26 @@ def phi():
 @pytest.fixture(scope="session")
 def state(phi):
     return PreparedState(phi)
+
+
+@pytest.fixture
+def laplace_samples(monkeypatch):
+    """record(module) makes every Laplace table that module builds from now
+    on record (nodes, values) of each sample it takes, in one list."""
+    from resokit.quadrature import LaplaceTable
+
+    samples = []
+
+    def recording(f, power=1):
+        def sample(x):
+            values = f(x)
+            samples.append((x, values))
+            return values
+
+        return LaplaceTable(sample, power)
+
+    def record(module):
+        monkeypatch.setattr(module, "LaplaceTable", recording)
+        return samples
+
+    return record

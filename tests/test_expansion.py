@@ -50,17 +50,6 @@ def exp_two(psi, state, model_two):
     return expand(psi, state, model_two)
 
 
-def _synthetic(model, psi, state, coefficients, values):
-    """An expansion whose table holds `values` on the Laplace rule."""
-    return ResonanceExpansion(
-        model=model,
-        psi=psi,
-        state=state,
-        coefficients=coefficients,
-        ray_values=np.asarray(values, dtype=complex),
-    )
-
-
 def _contour_coefficient(psi, state, model, i):
     """-2 pi i times the residue at pole i of the momentum integrand, by a
     circle integral: independent of `blaschke_residue`."""
@@ -332,16 +321,33 @@ class TestExpansion:
         assert err.error == pytest.approx(expected, rel=1e-12)
 
     def test_ray_table_is_frozen(self, exp_one):
+        exp_one.background(0.0)
         with pytest.raises(ValueError):
-            exp_one.ray_values[0] = 0.0
+            exp_one._table._rows[0][0, 0] = 0.0
 
-    def test_table_is_small(self, exp_one, exp_two):
-        # every expansion holds one value per node of the 4,737-node
-        # Laplace rule, which it does not store
-        for exp in (exp_one, exp_two):
-            assert exp.ray_values.shape == LAPLACE_RULE[0].shape == (4737,)
-        with pytest.raises(TypeError):
-            dataclasses.replace(exp_one, ray_nodes=LAPLACE_RULE[0])
+    def test_table_is_derived(self, exp_one, psi, state, model):
+        # the expansion takes no table: it samples its own line integrand,
+        # so a copy built from the same fields sums the same bits
+        assert [f.name for f in dataclasses.fields(ResonanceExpansion)] == [
+            "model", "psi", "state", "coefficients"]
+        for name in ("ray_values", "ray_nodes"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(exp_one, **{name: LAPLACE_RULE[0]})
+        twin = ResonanceExpansion(model=model, psi=psi, state=state,
+                                  coefficients=exp_one.coefficients)
+        for t in CHECK_TIMES:
+            assert twin.background_with_error(t) == exp_one.background_with_error(t)
+
+    def test_table_is_small(self, psi, state, model, model_two, laplace_samples):
+        # construction samples the 297 nodes of the stride-16 block, and the
+        # check times resolve there, so nothing more is sampled
+        samples = laplace_samples(expansion)
+        for m in (model, model_two):
+            exp = expand(psi, state, m)
+            for t in CHECK_TIMES:
+                exp.background(t)
+            exp.grid(np.array(CHECK_TIMES))
+        assert [nodes.size for nodes, _ in samples] == [297, 297]
 
     def test_no_horizon_parameter(self, psi, state, model):
         with pytest.raises(TypeError):
@@ -357,22 +363,12 @@ class TestExpansion:
                 expand(dual, wave, model)
 
 
-class TestSyntheticTables:
-    def test_zero_table_reports_absolute_error(self, model, psi, state):
-        exp = _synthetic(model, psi, state, (0.0j,), np.zeros(LAPLACE_RULE[0].size))
-        err = exp.truncation_error(1.0)
+class TestZeroPairing:
+    def test_zero_reports_absolute_error(self):
+        # a zero pole sum and background: no full value to be relative to
+        err = TruncationError.from_parts(0j, 0j)
         assert not err.relative
         assert err.error == 0.0
-
-    def test_stride_gate_fires(self, model, psi, state):
-        # a sign that flips from node to node, zero at both ends: every
-        # stride disagrees with the one before while no mass is clipped
-        nodes, weights = LAPLACE_RULE
-        values = (-1.0) ** np.arange(nodes.size) / weights
-        values[[0, -1]] = 0.0
-        exp = _synthetic(model, psi, state, (0.0j,), values)
-        with pytest.raises(QuadratureError, match="unresolved"):
-            exp.background(0.0)
 
 
 class TestBackgroundProfile:

@@ -22,7 +22,6 @@ from resokit.quadrature import (
     exp_sinh_rule,
     integrate_exp_sinh,
     integrate_lorentzian,
-    laplace_sample,
     oscillatory_quad,
 )
 
@@ -75,7 +74,7 @@ def test_ladder_levels_nest_bit_for_bit():
 
 def _exponential_table():
     """The Laplace table of f = e^{-x} with rates x: F(t) = 1 / (1 + t)."""
-    return LaplaceTable(laplace_sample(lambda x: np.exp(-x)))
+    return LaplaceTable(lambda x: np.exp(-x))
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 1e3, 1e6])
@@ -98,15 +97,66 @@ def test_laplace_table_error_covers_its_gap():
 
 
 def test_laplace_table_refuses_what_it_cannot_sum():
-    x, _ = LAPLACE_RULE
-    values = np.ones_like(x)
-    values[7] = np.nan
+    # an end whose mass overflows, or a value count that is not one per
+    # node, is refused at construction
     with pytest.raises(DomainError):
-        LaplaceTable(values)
-    with pytest.raises(DomainError):
-        LaplaceTable(np.full_like(x, 1e300))
+        LaplaceTable(lambda x: np.full_like(x, 1e300))
     with pytest.raises(ConfigurationError):
-        LaplaceTable(np.ones(x[::2].size))
+        LaplaceTable(lambda x: np.ones(x[::2].size))
+    with pytest.raises(ConfigurationError):
+        LaplaceTable(lambda x: 1.0)
+
+
+def test_non_finite_end_refuses_at_construction():
+    # an infinite end, and a finite term w_N f(x_N) whose clipped-mass
+    # factor x_N |f(x_N)| overflows (w_N is about 0.16 x_N)
+    x, _ = LAPLACE_RULE
+    for end, value in ((x[0], np.inf), (x[-1], np.inf), (x[-1], 1e274)):
+        with pytest.raises(DomainError):
+            LaplaceTable(lambda s, end=end, value=value: np.where(s == end, value, np.exp(-s)))
+
+
+# t = 1 resolves at stride 16 and t = 1e20 only at stride 1
+_COARSE_T, _FINE_T = 1.0, 1e20
+
+
+def test_nan_refused_where_the_gate_reaches_it():
+    # node 7 is new at stride 1: a table sampled only where the gate reads
+    # it meets the nan at the first t that reaches stride 1, and no sooner
+    x, _ = LAPLACE_RULE
+    table = LaplaceTable(lambda s: np.where(s == x[7], np.nan, np.exp(-s)))
+    assert table(_COARSE_T)[0] == pytest.approx(0.5, rel=1e-15)
+    assert table.grid([0.0, _COARSE_T])[0] == pytest.approx([1.0, 0.5], rel=1e-15)
+    with pytest.raises(DomainError, match="stride 1 "):
+        table(_FINE_T)
+    with pytest.raises(DomainError, match="stride 1 "):
+        table.grid([_COARSE_T, _FINE_T])
+
+
+def test_each_node_evaluated_once():
+    f = _Counting(lambda x: np.exp(-x))
+    table = LaplaceTable(f)
+    assert [a.size for a in f.calls] == [297]
+    table(_COARSE_T)
+    assert len(f.calls) == 1
+    value, _ = table(_FINE_T)
+    assert value == pytest.approx(1e-20, rel=1e-12)
+    # one call per block, 4,737 nodes in all, none twice
+    assert [a.size for a in f.calls] == [297, 296, 592, 1184, 2368]
+    seen = np.concatenate(f.calls)
+    np.testing.assert_array_equal(np.sort(seen), LAPLACE_RULE[0])
+    # a second evaluation, scalar or on a grid, samples nothing
+    table(_FINE_T)
+    table.grid([_COARSE_T, _FINE_T])
+    assert len(f.calls) == 5
+
+
+def test_sampling_does_not_change_the_sums():
+    # a table that sampled every block gives the bits of a fresh one
+    warm = _exponential_table()
+    warm(_FINE_T)
+    for t in (0.0, _COARSE_T, 1e6, _FINE_T):
+        assert warm(t) == _exponential_table()(t)
 
 
 def test_laplace_table_outruns_its_range():
@@ -129,14 +179,6 @@ def _channel(ratio, energy=2.0, cutoff=1.0):
         return e / (e / cutoff + 1.0) ** 4 * lorentzian
 
     return f
-
-
-def test_each_node_evaluated_once():
-    f = _Counting(_channel(0.1))
-    v = laplace_sample(f)
-    assert len(f.calls) == 1
-    np.testing.assert_array_equal(f.calls[0], LAPLACE_RULE[0])
-    np.testing.assert_array_equal(v, _channel(0.1)(LAPLACE_RULE[0]))
 
 
 # 30-digit mpmath values of the golden_rule_sweep channel integral at

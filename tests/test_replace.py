@@ -27,7 +27,7 @@ from resokit.goldenrule import (
 )
 from resokit.hardy import HalfPlane, HardyFunction
 from resokit.histories import History
-from resokit.quadrature import LaplaceTable, laplace_sample
+from resokit.quadrature import LaplaceTable
 from resokit.surface import BackgroundPhase, ResonancePole, SMatrixModel
 from resokit.survival import SpectralDensity, survival_amplitude
 
@@ -53,7 +53,7 @@ CASES = {
     "EffectiveMatrix": (EffectiveMatrix((POLE.position,)), lambda m: m.as_matrix()),
     "PrincipalParts": (exact.principal_parts(PSI, STATE, SMatrixModel(poles=(POLE,))),
                        lambda p: np.array(p.pairing(1.0))),
-    "LaplaceTable": (LaplaceTable(laplace_sample(lambda x: 1.0 / (1.0 + x * x))),
+    "LaplaceTable": (LaplaceTable(lambda x: 1.0 / (1.0 + x * x)),
                      lambda t: np.array(t(1.0))),
     "FormFactor": (FormFactor(1.0), lambda f: f(0.4)),
     "Channel": (CHANNEL, lambda c: c.form_factor(0.4)),

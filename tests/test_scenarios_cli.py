@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,7 @@ from resokit.quadrature import LAPLACE_RULE
 from resokit.scenarios import KINDS, list_scenarios, load_config, run_scenario
 from resokit.surface import ResonancePole
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 BUILTINS = (
     "single_resonance",
@@ -35,6 +37,13 @@ BUILTINS = (
     "contour_check",
     "histories_demo",
 )
+
+
+def _benchmark_batch(workload, seed):
+    """The benchmark's batch: built-ins and seeded variants, as
+    resobench/workloads.py builds it."""
+    make_batch = runpy.run_path(str(ROOT / "resobench" / "workloads.py"))["make_batch"]
+    return make_batch(workload, seed, ROOT)
 
 
 def read_csv(path):
@@ -323,23 +332,27 @@ class TestLongHorizons:
         manifest = json.loads((tmp_path / "kaon_pair.manifest.json").read_text())
         assert manifest["achieved"]["reconstruction_max_rel_err"] < 1e-6
 
-    def test_table_does_not_depend_on_horizon(self, tmp_path, monkeypatch):
-        tables = []
-        original = expansion.expand
-
-        def recording_expand(*args, **kwargs):
-            exp = original(*args, **kwargs)
-            tables.append(exp.ray_values)
-            return exp
-
-        monkeypatch.setattr(expansion, "expand", recording_expand)
+    def test_table_does_not_depend_on_horizon(self, tmp_path, laplace_samples):
+        samples = laplace_samples(expansion)
+        runs = []
         for lifetimes in (1.0, 50.0):
             cfg = load_config("kaon_pair")
             cfg["parameters"].update(lifetimes=lifetimes, points=3)
             run_scenario(cfg, out_dir=tmp_path / str(lifetimes))
-        assert len(tables) == 2
-        assert tables[0].shape == LAPLACE_RULE[0].shape
-        np.testing.assert_array_equal(tables[0], tables[1])
+            runs.append(samples[:])
+            samples.clear()
+        # the same nodes and values at both horizons, drawn from the rule
+        (first,), (second,) = runs
+        assert first[0].size == 297 and np.isin(first[0], LAPLACE_RULE[0]).all()
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_kaon_pair_samples_only_the_coarse_block(self, tmp_path, laplace_samples):
+        # every background of the run resolves at stride 16, so the line
+        # integrand is sampled once, on that block's 297 nodes
+        samples = laplace_samples(expansion)
+        run_scenario(load_config("kaon_pair"), out_dir=tmp_path)
+        assert [nodes.size for nodes, _ in samples] == [297]
 
 
 class TestOutputs:
@@ -363,6 +376,22 @@ class TestOutputs:
         p = np.array([float(r[3]) for r in rows])
         # survival column is exactly |e^{-izt}|^2 for the 0.2-width pole
         assert np.max(np.abs(p - np.exp(-0.2 * t))) < 1e-12
+
+    def test_cells_are_python_numbers(self):
+        # the writer formats each cell with repr, which gives the shortest
+        # round-trip digits for a float or an int but not for a numpy scalar
+        batches = [_benchmark_batch(workload, 3)
+                   for workload in ("expansion_sweep", "tails_and_rates")]
+        configs = [load_config(name) for name in BUILTINS]
+        configs += [entry.config for batch in batches for entry in batch if not entry.golden]
+        assert len(configs) == len(BUILTINS) + 10
+        for config in configs:
+            kind = config["kind"]
+            _, rows, _ = scenarios._RUNNERS[kind](
+                scenarios._parse(config["parameters"], kind), config.get("seed", 2026))
+            assert rows
+            kinds = {type(cell) for row in rows for cell in row}
+            assert kinds <= {float, int}, (config.get("scenario"), kinds)
 
     def test_unix_line_endings(self, runs):
         _, out_dir = runs["khalfin"]

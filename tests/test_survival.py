@@ -11,11 +11,12 @@ from resokit.cli import main
 from resokit.errors import (
     ArrowOfTimeError,
     ConfigurationError,
+    NormalizationError,
     QuadratureError,
     RegimeError,
     WindowError,
 )
-from resokit.quadrature import LAPLACE_RULE, circle_residue
+from resokit.quadrature import circle_residue
 from resokit.surface import ResonancePole
 from resokit.survival import (
     SpectralDensity,
@@ -26,6 +27,10 @@ from resokit.survival import (
     survival_probability,
     tail_exponent,
 )
+
+
+# (alpha, power) of every density shape
+SHAPES = [(0, 1), (1, 2), (0, 2), (2, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -216,22 +221,23 @@ class TestEndpointTable:
         assert deviation_onset(d) * narrow.width == pytest.approx(10.4113, rel=5e-3)
         assert tail_exponent(d) == pytest.approx(-2.0, abs=1e-3)
 
-    def test_table_is_built_once(self, narrow, monkeypatch):
-        points = []
-        shape = SpectralDensity._shape
-
-        def counted(self, z):
-            points.append(np.size(z))
-            return shape(self, z)
-
-        monkeypatch.setattr(SpectralDensity, "_shape", counted)
+    def test_table_is_built_once(self, narrow, tmp_path, monkeypatch, laplace_samples):
+        # the khalfin run samples the 297 nodes of the stride-16 block, in
+        # one call at construction; its normalization, 60 rows and three
+        # cross-checks (64 evaluations) all resolve there
+        samples = laplace_samples(survival)
+        rows = []
+        original = survival._pole_and_leg
+        monkeypatch.setattr(survival, "_pole_and_leg",
+                            lambda d, t: rows.append(t) or original(d, t))
+        assert main(["run", "khalfin", "--out-dir", str(tmp_path)]) == 0
+        assert ([x.size for x, _ in samples], len(rows)) == ([297], 64)
+        # later evaluations sample each finer block at most once
         d = SpectralDensity.truncated_lorentzian(narrow)
-        assert len(points) == 1 and points[0] == LAPLACE_RULE[0].size
-        for t in np.geomspace(0.2 / narrow.width, 30.0 / narrow.width, 60):
-            survival_probability(d, t)
         deviation_onset(d)
         tail_exponent(d)
-        assert len(points) == 1
+        tail_exponent(d)
+        assert [x.size for x, _ in samples] == [297, 297, 296]
         # the table stays outside the dataclass fields
         twin = SpectralDensity.truncated_lorentzian(narrow)
         assert d == twin and hash(d) == hash(twin)
@@ -278,22 +284,42 @@ class TestEndpointTable:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("energy", [1e137, 1e300])
-    def test_energy_past_the_table_exits_2(self, tmp_path, capsys, energy):
-        # 2 E_R u_N overflows past E_R = 3.8e136 and turns table entries
-        # into nan; numpy's overflow warning used to end the run as a
-        # DomainError (exit 1) from about 2.2e119 on
-        with pytest.raises(ConfigurationError, match="up to about 3.8e[+]136"):
-            SpectralDensity.truncated_lorentzian(ResonancePole(energy, 1.0))
+    @pytest.mark.parametrize("energy", [1e-200, 4e136, 1e137, 1e200, 1e300])
+    def test_extreme_energies_run(self, tmp_path, capsys, energy):
+        # the table holds the leg in units of E_R and never forms E_R^2:
+        # past 3.8e136 it overflowed, and at 1e-200 the squares underflowed
+        # to a division by zero
+        width = 0.1 * energy if energy < 1.0 else 1.0
+        d = SpectralDensity.truncated_lorentzian(ResonancePole(energy, width))
+        for lifetimes in (0.0, 0.5, 1.0, 2.0, 30.0):
+            t = lifetimes / width
+            closed = exact.survival_amplitude(d, t)
+            assert abs(survival_amplitude(d, t) - closed.value) <= closed.error
         config = tmp_path / "khalfin.json"
         config.write_text(json.dumps({"kind": "khalfin",
-                                      "parameters": {"energy": energy, "width": 1.0}}))
+                                      "parameters": {"energy": energy, "width": width}}))
         out = tmp_path / "out"
-        assert main(["run", str(config), "--out-dir", str(out)]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "ConfigurationError"
-        assert not out.exists()
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        lines = (out / "khalfin.csv").read_text().splitlines()[1:]
+        assert len(lines) == 60
+        assert all(math.isfinite(float(cell)) for line in lines for cell in line.split(","))
+
+    @pytest.mark.parametrize("energy, width", [(1e-200, 1e-201), (1e-200, 1e-210),
+                                               (4e136, 1.0), (1e200, 1.0), (1e200, 1e199)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_agrees_or_refuses(self, energy, width, shape):
+        # in units of E_R no factor passes the double range; only a
+        # normalization constant that is no normal double is refused
+        try:
+            d = SpectralDensity(ResonancePole(energy, width), *shape)
+        except NormalizationError as exc:
+            assert shape == (2, 2) and energy / width > 1e154, exc
+            assert "outside the normal double range" in str(exc)
+            return
+        for lifetimes in (0.0, 0.5, 2.0, 30.0):
+            t = lifetimes / width
+            closed = exact.survival_amplitude(d, t)
+            assert abs(survival_amplitude(d, t) - closed.value) <= closed.error
 
     def test_large_energy_runs(self, tmp_path, capsys):
         # at E_R = 1e130 the entries that overflow are negligible and come
@@ -322,9 +348,6 @@ def _complex(pair):
 def _frozen_amplitudes(shape):
     return [(row["lifetimes"], _complex(row["value"])) for row in FROZEN["amplitudes"]
             if (row["alpha"], row["power"]) == shape]
-
-
-SHAPES = [(0, 1), (1, 2), (0, 2), (2, 2)]
 
 
 class TestClosedForm:

@@ -22,7 +22,7 @@ from resokit.errors import (
     DomainError,
     QuadratureError,
 )
-from resokit.quadrature import LAPLACE_RULE, LAPLACE_TOL, LaplaceTable, laplace_sample
+from resokit.quadrature import LAPLACE_RULE, LAPLACE_TOL, LaplaceTable
 
 # 0, then a geometric sweep past the 256-time chunk of the grid
 SWEEP = np.r_[0.0, np.geomspace(1e-3, 1e6, 700)]
@@ -47,7 +47,7 @@ def parts_two(psi, state, model_two):
 
 def _exponential_table():
     """The table of f = e^{-x} with rates x: F(t) = 1 / (1 + t)."""
-    return LaplaceTable(laplace_sample(lambda x: np.exp(-x)))
+    return LaplaceTable(lambda x: np.exp(-x))
 
 
 class TestLaplaceGrid:
@@ -101,8 +101,11 @@ class TestLaplaceGrid:
         nodes, weights = LAPLACE_RULE
         values = (-1.0) ** np.arange(nodes.size) / weights
         values[[0, -1]] = 0.0
+        table = LaplaceTable(lambda x: values[np.searchsorted(nodes, x)])
         with pytest.raises(QuadratureError, match="unresolved at t = 0:"):
-            LaplaceTable(values).grid(np.zeros(3))
+            table.grid(np.zeros(3))
+        with pytest.raises(QuadratureError, match="unresolved at t = 0:"):
+            table(0.0)
 
     def test_refuses_a_matrix_of_times(self):
         with pytest.raises(ConfigurationError):

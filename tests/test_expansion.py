@@ -28,7 +28,7 @@ from resokit.expansion import (
     truncated_evolve,
 )
 from resokit.hardy import HalfPlane, HardyFunction
-from resokit.quadrature import LAPLACE_RULE, circle_residue, exp_sinh_rule
+from resokit.quadrature import LAPLACE_RULE, LaplaceTable, circle_residue, exp_sinh_rule
 from resokit.surface import BackgroundPhase, ResonancePole, SMatrixModel, blaschke_residue
 from test_hardy import _FlippedDeclaration
 
@@ -369,6 +369,25 @@ class TestZeroPairing:
         err = TruncationError.from_parts(0j, 0j)
         assert not err.relative
         assert err.error == 0.0
+
+
+class TestSyntheticTables:
+    def test_stride_gate_fires(self, model, psi, state):
+        # a zero pole sum, so nothing floors the gate, over a line integrand
+        # whose sign flips from node to node, zero at both ends: every
+        # stride disagrees with the one before while no mass is clipped
+        exp = ResonanceExpansion(model=model, psi=psi, state=state, coefficients=(0j,))
+        nodes, weights = LAPLACE_RULE
+        values = (-1.0) ** np.arange(nodes.size) / weights
+        values[[0, -1]] = 0.0
+        object.__setattr__(exp, "_table", LaplaceTable(
+            lambda s: values[np.searchsorted(nodes, s)], power=2))
+        with pytest.raises(QuadratureError, match="unresolved at t = 0:"):
+            exp.background(0.0)
+        with pytest.raises(QuadratureError, match="unresolved at t = 0:"):
+            exp.reconstruct(0.0)
+        with pytest.raises(QuadratureError, match="unresolved at t = 0:"):
+            exp.grid(np.zeros(3))
 
 
 class TestBackgroundProfile:

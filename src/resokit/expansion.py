@@ -31,7 +31,7 @@ phi(z_i) Res S(k_i) with z_i = k_i^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -164,18 +164,26 @@ _LINE = np.exp(0.25j * np.pi)
 
 @dataclass(frozen=True, eq=False)
 class ResonanceExpansion:
-    """Pole coefficients plus a background table: bg(t) = sum_j w_j v(s_j)
-    e^{-s_j^2 t} of the line integrand v, built from psi, state and model,
-    over the Laplace rule's nodes s_j and weights w_j."""
+    """Pole coefficients plus a background table, both derived from psi,
+    state and model: b_i = -2 pi i 2 k_i conj(psi)(z_i) phi(z_i) Res S(k_i)
+    and bg(t) = sum_j w_j v(s_j) e^{-s_j^2 t} of the line integrand v over
+    the Laplace rule's nodes s_j and weights w_j."""
 
     model: SMatrixModel
     psi: HardyFunction
     state: PreparedState
-    coefficients: tuple
+    coefficients: tuple = field(init=False)
 
     def __post_init__(self):
-        dag, wave = _require_pair(self.psi, self.state)
         model = self.model
+        if not isinstance(model, SMatrixModel):
+            raise ConfigurationError("expand needs an SMatrixModel")
+        dag, wave = _require_pair(self.psi, self.state)
+        object.__setattr__(self, "coefficients", tuple(
+            complex(-2j * np.pi * 2.0 * pole.momentum * dag(pole.position)
+                    * wave(pole.position) * blaschke_residue(model, i))
+            for i, pole in enumerate(model.poles)
+        ))
 
         def line(s):
             # e^{i pi/4} g(e^{i pi/4} s): the ray integrand times du/ds
@@ -276,16 +284,7 @@ def expand(psi, state, model):
         Registration-side and preparation-side functions.
     model : SMatrixModel
     """
-    if not isinstance(model, SMatrixModel):
-        raise ConfigurationError("expand needs an SMatrixModel")
-    dag, wave = _require_pair(psi, state)
-
-    coeffs = tuple(
-        complex(-2j * np.pi * 2.0 * pole.momentum * dag(pole.position)
-                * wave(pole.position) * blaschke_residue(model, i))
-        for i, pole in enumerate(model.poles)
-    )
-    return ResonanceExpansion(model=model, psi=psi, state=state, coefficients=coeffs)
+    return ResonanceExpansion(model=model, psi=psi, state=state)
 
 
 def background_profile(expansion, times):

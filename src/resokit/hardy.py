@@ -166,25 +166,31 @@ def fourier_grid(wf, e_max, n):
     return tau, de * np.exp(1j * e_max * tau) * spectrum
 
 
-def paley_wiener_check(wf, e_max=200.0, n=2**18, edge_tolerance=1e-4):
+# `paley_wiener_check` samples _PW_N points over [-_PW_E_MAX, _PW_E_MAX)
+# and refuses a wave whose |f| at the grid's edge passes _PW_EDGE of its peak
+_PW_E_MAX = 200.0
+_PW_N = 2**18
+_PW_EDGE = 1e-4
+
+
+def paley_wiener_check(wf):
     """Fraction of Fourier mass on the class-forbidden half line.
 
     UPPER functions must transform onto tau >= 0, LOWER onto tau <= 0.
-    Returns the forbidden-side l2 fraction; well constructed rational
-    functions score below 1e-7 on the default grid while class-flipped
-    declarations score near 1.
+    Returns the forbidden-side l2 fraction on 2^18 points over
+    [-200, 200); well constructed rational functions score below 1e-7
+    while class-flipped declarations score near 1.
 
-    Raises ResolutionError when |f| at the grid edge exceeds
-    edge_tolerance times its grid maximum, since truncation ringing
-    would then contaminate the verdict.
+    Raises ResolutionError when |f| at the grid edge exceeds 1e-4 of its
+    grid maximum, since truncation ringing would then spoil the verdict.
     """
-    de, tau, spectrum = _grid_spectrum(wf, e_max, n)
-    edge = max(abs(wf(-e_max)), abs(wf(e_max - 2.0 * e_max / n)))
-    peak = float(np.max(np.abs(wf(np.linspace(-e_max, e_max, 4097)[:-1]))))
-    if peak == 0.0 or edge > edge_tolerance * peak:
+    de, tau, spectrum = _grid_spectrum(wf, _PW_E_MAX, _PW_N)
+    edge = max(abs(wf(-_PW_E_MAX)), abs(wf(_PW_E_MAX - de)))
+    peak = float(np.max(np.abs(wf(np.linspace(-_PW_E_MAX, _PW_E_MAX, 4097)[:-1]))))
+    if peak == 0.0 or edge > _PW_EDGE * peak:
         raise ResolutionError(
-            f"grid edge value {edge:.3e} exceeds {edge_tolerance:g} of the "
-            f"peak {peak:.3e}; widen e_max"
+            f"grid edge value {edge:.3e} exceeds {_PW_EDGE:g} of the peak {peak:.3e}; "
+            f"the wave decays too slowly for the grid over [-{_PW_E_MAX:g}, {_PW_E_MAX:g})"
         )
     # |fhat|^2: the grid-offset phase of `fourier_grid` has modulus one
     power = de * de * np.abs(spectrum) ** 2

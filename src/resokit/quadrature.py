@@ -9,11 +9,11 @@ one error bound and one gate, and samples f only on the blocks of the
 rule that the gate reads; the survival leg, the expansion background
 and `integrate_exp_sinh` share it.  The scipy
 wrappers adapt ``scipy.integrate.quad`` to complex integrands on
-intervals and half lines and to oscillatory Fourier weights; their
-real/imaginary (and cos/sin) passes share one evaluation of the
-integrand per abscissa.  The midpoint rule on a circle gives contour
-residues.  ``scipy.integrate`` is imported at the first QUADPACK call,
-so no scenario run loads it.
+intervals and half lines and to oscillatory Fourier weights, with fixed
+subinterval limits; their real/imaginary (and cos/sin) passes share one
+evaluation of the integrand per abscissa.  The midpoint rule on a
+circle gives contour residues.  ``scipy.integrate`` is imported at the
+first QUADPACK call, so no scenario run loads it.
 """
 
 from __future__ import annotations
@@ -375,53 +375,47 @@ def _part_quads(f, a, b, weights=(None,), **kwargs):
     return out
 
 
-def complex_quad(f, a, b, **kwargs):
-    """scipy quad for complex-valued f; returns (value, error bound).
-
-    Accepts the usual quad keywords (limit, epsabs, epsrel).  Infinite
-    limits are allowed and use quad's internal variable transform, which
-    is essential for slowly decaying rational tails.
-    """
-    kwargs.setdefault("limit", 400)
-    (re, re_err), (im, im_err) = _part_quads(f, a, b, **kwargs)
+def complex_quad(f, a, b):
+    """scipy quad for complex-valued f with up to 400 subintervals;
+    returns (value, error bound).  Infinite limits use quad's variable
+    transform, which is essential for slowly decaying rational tails."""
+    (re, re_err), (im, im_err) = _part_quads(f, a, b, limit=400)
     return re + 1j * im, re_err + im_err
 
 
-def _fourier_parts(f, upper, omega, **kwargs):
+def _fourier_parts(f, upper, omega, limit):
     """Integral of f(x) e^{-i omega x} over [0, upper] from quad's cos
-    and sin weights; returns (value, error bound)."""
-    kwargs.setdefault("maxp1", 200)
+    and sin weights, with up to `limit` subintervals and 200 Chebyshev
+    moments; returns (value, error bound)."""
     (rc, e1), (rs, e2), (ic, e3), (is_, e4) = _part_quads(
-        f, 0.0, upper, ("cos", "sin"), wvar=omega, **kwargs)
+        f, 0.0, upper, ("cos", "sin"), wvar=omega, limit=limit, maxp1=200)
     # (re + i im)(cos - i sin) collected into real and imaginary parts
     value = (rc + is_) + 1j * (ic - rs)
     return value, e1 + e2 + e3 + e4
 
 
-def oscillatory_quad(f, upper, omega, **kwargs):
+def oscillatory_quad(f, upper, omega):
     """Integral of f(x) e^{-i omega x} over [0, upper] for complex f.
 
-    Uses quad's Clenshaw-Curtis oscillatory weights (QAWO), which stay
-    accurate when omega * upper spans thousands of cycles.  For omega
-    exactly zero this reduces to a plain adaptive integral.
+    Uses quad's Clenshaw-Curtis oscillatory weights (QAWO) with up to
+    3000 subintervals, which stay accurate when omega * upper spans
+    thousands of cycles.  For omega exactly zero this is `complex_quad`.
     """
     if omega == 0.0:
-        return complex_quad(f, 0.0, upper, **kwargs)
-    kwargs.setdefault("limit", 3000)
-    return _fourier_parts(f, upper, omega, **kwargs)
+        return complex_quad(f, 0.0, upper)
+    return _fourier_parts(f, upper, omega, 3000)
 
 
-def decaying_fourier_quad(f, omega, **kwargs):
+def decaying_fourier_quad(f, omega):
     """Integral of f(x) e^{-i omega x} over [0, inf) for complex f.
 
-    quad's QAWF Fourier algorithm handles the infinite oscillatory tail;
-    f must decay at infinity.  omega must be nonzero (use complex_quad
-    with an infinite limit otherwise).
+    quad's QAWF Fourier algorithm, with up to 600 subintervals, handles
+    the infinite oscillatory tail; f must decay at infinity.  omega must be
+    nonzero (use complex_quad with an infinite limit otherwise).
     """
     if omega == 0.0:
         raise QuadratureError("QAWF needs a nonzero frequency")
-    kwargs.setdefault("limit", 600)
-    return _fourier_parts(f, np.inf, omega, **kwargs)
+    return _fourier_parts(f, np.inf, omega, 600)
 
 
 def circle_residue(f, center, radius):

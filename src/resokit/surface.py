@@ -181,8 +181,8 @@ class SMatrixModel:
     """Finite Blaschke product with an optional background phase.
 
     Construction also stores, outside the dataclass fields, the pole
-    momenta with their conjugates and one (singularity, rejection radius)
-    pair per singularity, so evaluations do not recompute them.
+    momenta with their conjugates and arrays of the singularities and
+    their rejection radii, so evaluations do not recompute them.
     """
 
     poles: tuple
@@ -206,30 +206,31 @@ class SMatrixModel:
         if self.background is not None:
             sing.extend(self.background.pole_positions())
         object.__setattr__(self, "_factors", factors)
-        object.__setattr__(
-            self, "_guards",
-            tuple((s, _PROXIMITY * max(abs(s), 1.0)) for s in sing),
-        )
+        radii = [_PROXIMITY * max(abs(s), 1.0) for s in sing]
+        object.__setattr__(self, "_guards", (np.array(sing, dtype=complex), np.array(radii)))
 
     def singularities(self):
         """Momentum-plane poles of S: resonance poles, their mirror
         images -conj(k_i), and any background-phase poles."""
-        return tuple(s for s, _ in self._guards)
+        return tuple(self._guards[0].tolist())
 
     def eval(self, k):
         """S(k), elementwise for an array k and a Python complex for a
         scalar; rejects points at pole distance below `_PROXIMITY`
         relative to the pole scale."""
         k_arr = np.asarray(k, dtype=complex)
-        for s, radius in self._guards:
-            # |k - s| < radius needs |Re k - Re s| < radius, which is cheaper
-            d = np.abs(k_arr[np.abs(k_arr.real - s.real) < radius] - s)
-            if np.any(d < radius):
-                raise PoleProximityError(
-                    f"evaluation within {_PROXIMITY:g} of pole {s}",
-                    pole=s,
-                    distance=float(np.min(d)),
-                )
+        sing, radii = self._guards
+        # one column of distances per singularity
+        d = np.abs(np.subtract.outer(k_arr, sing))
+        hits = d < radii
+        if hits.any():
+            j = int(np.argmax(hits.reshape(-1, sing.size).any(axis=0)))
+            s = complex(sing[j])
+            raise PoleProximityError(
+                f"evaluation within {_PROXIMITY:g} of pole {s}",
+                pole=s,
+                distance=float(d[..., j].min()),
+            )
         out = np.ones_like(k_arr)
         for kp, kc in self._factors:
             out = out * (k_arr + kp) * (k_arr - kc)

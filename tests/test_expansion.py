@@ -326,15 +326,19 @@ class TestExpansion:
             exp_one._table._rows[0][0, 0] = 0.0
 
     def test_table_is_derived(self, exp_one, psi, state, model):
-        # the expansion takes no table: it samples its own line integrand,
-        # so a copy built from the same fields sums the same bits
-        assert [f.name for f in dataclasses.fields(ResonanceExpansion)] == [
-            "model", "psi", "state", "coefficients"]
+        # the expansion takes no table and no coefficients: it derives both
+        # from psi, state and model, so a copy built from them sums the same bits
+        fields = dataclasses.fields(ResonanceExpansion)
+        assert [f.name for f in fields] == ["model", "psi", "state", "coefficients"]
+        assert [f.name for f in fields if f.init] == ["model", "psi", "state"]
         for name in ("ray_values", "ray_nodes"):
             with pytest.raises(TypeError):
                 dataclasses.replace(exp_one, **{name: LAPLACE_RULE[0]})
-        twin = ResonanceExpansion(model=model, psi=psi, state=state,
-                                  coefficients=exp_one.coefficients)
+        with pytest.raises(TypeError):
+            ResonanceExpansion(model=model, psi=psi, state=state,
+                               coefficients=exp_one.coefficients)
+        twin = expand(psi, state, model)
+        assert twin.coefficients == exp_one.coefficients
         for t in CHECK_TIMES:
             assert twin.background_with_error(t) == exp_one.background_with_error(t)
 
@@ -376,7 +380,8 @@ class TestSyntheticTables:
         # a zero pole sum, so nothing floors the gate, over a line integrand
         # whose sign flips from node to node, zero at both ends: every
         # stride disagrees with the one before while no mass is clipped
-        exp = ResonanceExpansion(model=model, psi=psi, state=state, coefficients=(0j,))
+        exp = ResonanceExpansion(model=model, psi=psi, state=state)
+        object.__setattr__(exp, "_coefficients", np.zeros(1, dtype=complex))
         nodes, weights = LAPLACE_RULE
         values = (-1.0) ** np.arange(nodes.size) / weights
         values[[0, -1]] = 0.0

@@ -1,5 +1,8 @@
+import json
 import math
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,13 @@ from resokit.goldenrule import (
     registered_fraction,
     total_width_check,
 )
+from resokit.quadrature import integrate_lorentzian
 from resokit.surface import ResonancePole
+
+# 40-digit mpmath values of the `golden_rule_sweep` channel integrals,
+# written by tests/lorentzian_reference.py, which shares no code with resokit
+LORENTZIAN = json.loads(
+    Path(__file__).with_name("lorentzian_reference.json").read_text())["channel_integrals"]
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +383,12 @@ class TestBornLimit:
             bw_delta_limit_check(2.0, (0.1, 0.2), FormFactor(1.0))
         with pytest.raises(ConfigurationError):
             bw_delta_limit_check(2.0, (), FormFactor(1.0))
+
+
+@pytest.mark.parametrize("row", LORENTZIAN, ids=lambda r: f"width{r['width']:g}")
+def test_channel_integral_within_its_error_of_mpmath(row):
+    # the sweep's exact_width column is the normalization identity, so only
+    # this holds the channel integral to an independent value; the gap is
+    # taken exactly
+    value, error = integrate_lorentzian(FormFactor(row["cutoff"]), row["energy"], row["width"])
+    assert abs(Fraction(value) - Fraction(row["value"])) <= Fraction(error)

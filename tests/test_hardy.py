@@ -213,9 +213,14 @@ class TestPaleyWiener:
         assert paley_wiener_check(_FlippedDeclaration(psi)) > 0.3
         assert paley_wiener_check(_FlippedDeclaration(phi)) > 0.3
 
-    def test_narrow_grid_rejected(self, psi):
-        with pytest.raises(ResolutionError):
-            paley_wiener_check(psi, e_max=5.0, n=2**12)
+    def test_narrow_grid_rejected(self):
+        # an order-1 pole at -100i decays too slowly for the fixed grid:
+        # |f| at its edge is about 0.45 of its peak
+        slow = HardyFunction(terms=((1.0, -100.0j, 1),), half_plane=HalfPlane.UPPER)
+        with pytest.raises(ResolutionError, match="decays too slowly"):
+            paley_wiener_check(slow)
+        with pytest.raises(TypeError):
+            paley_wiener_check(slow, e_max=1e4)
 
     def test_frozen_leakage_values(self, psi, phi):
         assert paley_wiener_check(psi) == pytest.approx(2.652e-9, rel=5e-3)

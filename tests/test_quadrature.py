@@ -284,22 +284,28 @@ def test_integrate_lorentzian_needs_a_line(energy, width):
 
 def test_quadpack_calls_go_through_the_module_quad(monkeypatch):
     # the tests that stub resokit.quadrature.quad to show a path makes no
-    # QUADPACK call hold only while every wrapper reaches QUADPACK there
+    # QUADPACK call hold only while every wrapper reaches QUADPACK there,
+    # and every caller gets the same fixed subinterval and moment limits
     calls = []
 
     def stub(func, a, b, **kwargs):
-        calls.append((a, b, kwargs.get("weight")))
+        calls.append((a, b, kwargs.get("weight"), kwargs["limit"], kwargs.get("maxp1")))
         return 0.0, 0.0
 
     monkeypatch.setattr("resokit.quadrature.quad", stub)
     f = lambda x: np.exp(-x) + 0j
-    assert complex_quad(f, 0.0, 1.0) == (0.0, 0.0)
-    assert calls == [(0.0, 1.0, None)] * 2
-    for wrapper, args, upper in [(oscillatory_quad, (20.0, 7.0), 20.0),
-                                 (decaying_fourier_quad, (7.0,), np.inf)]:
+    for wrapper, args, upper in [(complex_quad, (0.0, 1.0), 1.0),
+                                 (oscillatory_quad, (20.0, 0.0), 20.0)]:
         calls.clear()
         assert wrapper(f, *args) == (0.0, 0.0)
-        assert calls == [(0.0, upper, "cos"), (0.0, upper, "sin")] * 2
+        assert calls == [(0.0, upper, None, 400, None)] * 2
+    for wrapper, args, upper, limit in [(oscillatory_quad, (20.0, 7.0), 20.0, 3000),
+                                        (decaying_fourier_quad, (7.0,), np.inf, 600)]:
+        calls.clear()
+        assert wrapper(f, *args) == (0.0, 0.0)
+        assert calls == [(0.0, upper, "cos", limit, 200), (0.0, upper, "sin", limit, 200)] * 2
+        with pytest.raises(TypeError):
+            wrapper(f, *args, limit=10)
 
 
 def test_runs_never_load_scipy_integrate(tmp_path):

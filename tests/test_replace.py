@@ -1,9 +1,9 @@
 """`dataclasses.replace` on every public frozen dataclass of resokit.
 
 A replaced object is built by its constructor again, so it must accept
-its own fields and recompute whatever it derives from them.  That a
-replaced `DecayConfig` is no longer normalized is tested in
-tests/test_goldenrule.py.
+its own fields and recompute whatever it derives from them, also when a
+field changes.  That a replaced `DecayConfig` is no longer normalized is
+tested in tests/test_goldenrule.py.
 """
 
 import dataclasses
@@ -15,7 +15,8 @@ import pytest
 
 import resokit
 from resokit import exact
-from resokit.expansion import EffectiveMatrix, PreparedState, expand
+from resokit.errors import ConfigurationError, PoleProximityError
+from resokit.expansion import EffectiveMatrix, PreparedState, ResonanceExpansion, expand
 from resokit.gamow import GamowKet
 from resokit.goldenrule import (
     Channel,
@@ -35,6 +36,8 @@ POLE = ResonancePole(energy=1.0, width=0.2)
 PSI = HardyFunction(terms=((1.0, 2.0 - 1.0j, 2),), half_plane=HalfPlane.UPPER)
 STATE = PreparedState(HardyFunction(terms=((1.0, 1.5 + 0.8j, 2),), half_plane=HalfPlane.LOWER))
 MODEL = SMatrixModel(poles=(POLE,), background=BackgroundPhase(((0.3, -1.0, 0.5),)))
+# a pole-only model, which `exact` pairs in closed form
+OTHER = SMatrixModel(poles=(ResonancePole(energy=1.6, width=0.35),))
 CHANNEL = Channel(label="a", strength=1.0, form_factor=FormFactor(1.0))
 RAW = DecayConfig(resonance=POLE, channels=(CHANNEL,), detector=Detector({"a": 0.5}))
 
@@ -97,3 +100,47 @@ def test_replaced_density_is_normalized_again():
     assert survival_amplitude(changed, 3.0) == survival_amplitude(fresh, 3.0)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(narrow, norm=2.0)
+
+
+def test_replaced_expansion_derives_its_coefficients_again():
+    # the pole coefficients are residues of psi, state and model, so a
+    # changed model gives the coefficients and table of a fresh expansion
+    changed = dataclasses.replace(CASES["ResonanceExpansion"][0], model=OTHER)
+    fresh = expand(PSI, STATE, OTHER)
+    parts = exact.principal_parts(PSI, STATE, OTHER)
+    assert changed.coefficients == fresh.coefficients
+    for t in (0.0, 1.0, 5.0):
+        assert changed.reconstruct(t) == fresh.reconstruct(t)
+        closed = parts.pairing(t)
+        assert abs(changed.reconstruct(t) - closed.value) <= 1e-13 * abs(closed.value)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(fresh, coefficients=changed.coefficients)
+
+
+def test_expansion_checks_its_model_first():
+    # refused by type before the waves are checked: PSI as the state is
+    # of the wrong class too
+    for model in ("x", None, MODEL.poles):
+        with pytest.raises(ConfigurationError, match="needs an SMatrixModel"):
+            ResonanceExpansion(model=model, psi=PSI, state=PSI)
+
+
+def test_replaced_table_samples_the_new_integrand():
+    changed = dataclasses.replace(CASES["LaplaceTable"][0], f=lambda x: np.exp(-x))
+    fresh = LaplaceTable(lambda x: np.exp(-x))
+    for t in (0.0, 1.0, 5.0):
+        assert changed(t) == fresh(t)
+        value, error = changed(t)
+        assert abs(value - 1.0 / (1.0 + t)) <= error
+
+
+def test_replaced_model_guards_its_new_poles():
+    changed = dataclasses.replace(MODEL, poles=OTHER.poles)
+    fresh = SMatrixModel(poles=OTHER.poles, background=MODEL.background)
+    assert changed.singularities() == fresh.singularities()
+    k = np.array([0.7 - 0.05j, 1.2 - 0.1j, 2.0 + 0.3j])
+    np.testing.assert_array_equal(changed.eval(k), fresh.eval(k))
+    with pytest.raises(PoleProximityError):
+        changed.eval(OTHER.poles[0].momentum)
+    old = MODEL.poles[0].momentum
+    assert changed.eval(old) == fresh.eval(old)
